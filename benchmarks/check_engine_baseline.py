@@ -17,8 +17,9 @@ selected baseline(s) from a fresh measurement instead.
 Scenarios (``--all`` runs every one in a single invocation — the CI
 entry point):
 
-* default (``BENCH_engine.json``): kernel and per-step throughput on
-  the pinned 1,000-step x 200-server trace.
+* default (``BENCH_engine.json``): kernel and reference-simulator
+  throughput on the pinned 1,000-step x 200-server trace, enforcing
+  the kernel-vs-reference speedup floor.
 * ``--fleet`` (``BENCH_fleet.json``): the fleet-scale sharded scenario
   (12,500 servers x 8,900 steps); the measurement itself asserts
   shard/unshard bit-parity and the bounded worker payload, and the
@@ -30,8 +31,8 @@ entry point):
   same fleet trace through ``simulate_sharded``): the warm-hit speedup
   floor and the cache-off envelope, normalised the same way.
 * ``--pipeline`` (``BENCH_pipeline.json``): the batched-decision A/B —
-  the kernel's decide phase with the vectorised path on versus
-  ``REPRO_KERNEL_BATCH=0``, enforcing the committed speedup floor.
+  the kernel's decide phase with the vectorised path on versus the
+  scalar per-cell loop, enforcing the committed speedup floor.
 
 ``--report-dir DIR`` additionally writes each scenario's fresh
 measurement as ``DIR/BENCH_<scenario>.json`` so CI can archive the
@@ -49,11 +50,11 @@ from pathlib import Path
 #: A checked figure fails below this fraction of its baseline.
 TOLERANCE = 0.25
 
-#: The default scenario's figures: per-step vectorised, kernel with
-#: telemetry off, and kernel under a live repro.obs session (so a
+#: The default scenario's figures: the reference simulator, kernel
+#: with telemetry off, and kernel under a live repro.obs session (so a
 #: telemetry-hook regression is caught even though the default path
 #: has telemetry disabled).
-CHECKED_FIELDS = ("step_steps_per_s", "kernel_steps_per_s",
+CHECKED_FIELDS = ("reference_steps_per_s", "kernel_steps_per_s",
                   "kernel_telemetry_steps_per_s")
 
 #: The fleet (``--fleet``) figures, from ``BENCH_fleet.json``: the
@@ -198,12 +199,18 @@ def _check_pipeline(baseline: dict, report: dict) -> bool:
 
 
 def _check_engine(baseline: dict, report: dict) -> bool:
-    print(f"{'speedup':<20} baseline {baseline['speedup']:>10.2f}  "
-          f"now {report['speedup']:>10.2f}")
+    from test_bench_engine import REFERENCE_SPEEDUP_FLOOR
+
+    speedup_ok = report["reference_speedup"] >= REFERENCE_SPEEDUP_FLOOR
+    print(f"{'reference speedup':<20} baseline "
+          f"{baseline.get('reference_speedup', float('nan')):>9.2f}x "
+          f"now {report['reference_speedup']:>9.2f}x (floor "
+          f"{REFERENCE_SPEEDUP_FLOOR:.0f}x)  "
+          f"[{'ok' if speedup_ok else 'REGRESSION'}]")
     print(f"{'telemetry overhead':<20} baseline "
           f"{baseline.get('telemetry_overhead', float('nan')):>10.2%}  "
           f"now {report['telemetry_overhead']:>10.2%}")
-    return False
+    return not speedup_ok
 
 
 def run_scenario(scenario: str, baseline_path: Path, *,

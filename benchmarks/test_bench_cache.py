@@ -64,8 +64,7 @@ def measure_cache_throughput(rounds: int = 2) -> dict:
     best_kernel = None
     for _ in range(rounds):
         started = time.perf_counter()
-        kernel = simulate(trace, config, mode="kernel",
-                          result_cache=False)
+        kernel = simulate(trace, config, result_cache=False)
         elapsed = time.perf_counter() - started
         best_kernel = (elapsed if best_kernel is None
                        else min(best_kernel, elapsed))

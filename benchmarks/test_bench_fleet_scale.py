@@ -104,7 +104,7 @@ def measure_fleet_throughput(rounds: int = 1) -> dict:
     unsharded = None
     for _ in range(rounds):
         started = time.perf_counter()
-        unsharded = simulate(trace, config, mode="kernel")
+        unsharded = simulate(trace, config)
         elapsed = time.perf_counter() - started
         best_unsharded = (elapsed if best_unsharded is None
                           else min(best_unsharded, elapsed))

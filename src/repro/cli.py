@@ -81,10 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        metavar="SECONDS",
                        help="per-job wall-clock budget (default: "
                             "REPRO_JOB_TIMEOUT or none)")
-    batch.add_argument("--mode", default=None,
-                       choices=("kernel", "step", "loop"),
-                       help="execution mode for every job (default: "
-                            "kernel)")
     batch.add_argument("--prefer", default="process",
                        choices=("process", "thread", "serial"),
                        help="preferred executor (default: process, "
@@ -305,8 +301,7 @@ def _cmd_batch(args: argparse.Namespace, reporter: Reporter) -> int:
             for trace in traces for scheme in args.schemes]
     if args.resume and args.checkpoint is None:
         raise ConfigurationError("--resume requires --checkpoint DIR")
-    engine = BatchSimulationEngine(args.workers, mode=args.mode,
-                                   prefer=args.prefer,
+    engine = BatchSimulationEngine(args.workers, prefer=args.prefer,
                                    max_retries=args.max_retries,
                                    job_timeout_s=args.timeout,
                                    telemetry=telemetry_on,

@@ -25,7 +25,6 @@ from .results import (
 )
 from .simulator import DatacenterSimulator
 from .engine import (
-    EXECUTION_MODES,
     BatchResult,
     BatchSimulationEngine,
     CoolingDecisionCache,
@@ -73,7 +72,6 @@ __all__ = [
     "EngineMetrics",
     "KernelTimings",
     "SharedTraceRef",
-    "EXECUTION_MODES",
     "CoolingDecisionCache",
     "ShardSpec",
     "ShardOutcome",

@@ -9,10 +9,10 @@ scheme per trace.  This module turns that hot path into a batch API:
   pool (``concurrent.futures``), degrading gracefully to threads or a
   serial loop when processes are unavailable, with a ``REPRO_WORKERS``
   environment override;
-* inside each job the step loop is *vectorised*: circulations sharing a
-  cooling setting are evaluated as one NumPy batch instead of per-group
-  Python calls, and cooling decisions are memoised by
-  :class:`CoolingDecisionCache`;
+* inside each job the whole-trace kernel (:mod:`repro.core.kernel`)
+  replaces the per-step Python loop unless the job's inputs need the
+  serial loop (see :func:`resolve_mode`), and cooling decisions are
+  memoised by :class:`CoolingDecisionCache`;
 * :class:`EngineMetrics` (wall time per phase, steps/sec, cache hit
   rate) is attached to every :class:`~repro.core.results.SimulationResult`
   so benchmarks can assert speedups.
@@ -61,7 +61,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .. import obs
-from ..cooling.loop import CirculationState
 from ..errors import (
     ConfigurationError,
     JobExecutionError,
@@ -70,7 +69,6 @@ from ..errors import (
 from ..faults import FaultSchedule
 from ..teg.module import TegModule
 from ..thermal.cpu_model import CpuThermalModel
-from ..thermal.hydraulics import loop_pump_power_w
 from ..workloads.trace import WorkloadTrace
 from .cache import ResultCache, resolve_result_cache, result_key, warm_keys
 from .config import SimulationConfig
@@ -100,29 +98,21 @@ _POLL_INTERVAL_S = 0.05
 #: matching :class:`~repro.control.cooling_policy.LookupSpacePolicy`.
 DEFAULT_CACHE_RESOLUTION = 0.005
 
-#: Execution modes of one job, fastest first.  All are bit-identical:
-#:
-#: * ``"kernel"`` — whole-trace NumPy pipeline (no per-step Python loop);
-#: * ``"step"``   — PR 1's per-step loop, vectorised within each step;
-#: * ``"loop"``   — the serial per-circulation loop with cached decisions.
-#:
-#: Jobs carrying a fault schedule always step through the simulator's
-#: fault-aware serial loop, whatever mode was requested.
-EXECUTION_MODES = ("kernel", "step", "loop")
+def resolve_mode(trace: WorkloadTrace,
+                 faults: FaultSchedule | None = None) -> str:
+    """The execution path a job takes, worked out from its inputs.
 
+    * ``"loop"`` — the serial cached loop, for a job with an active
+      fault schedule (degraded fallback and shadow accounting live in
+      the simulator's step) or a ``WorkloadTrace`` *subclass* (it may
+      override ``step()``, which the whole-trace kernel would bypass);
+    * ``"kernel"`` — the whole-trace NumPy pipeline, for every other job.
 
-def resolve_mode(mode: str | None, vectorised: bool = True) -> str:
-    """Normalise the (mode, legacy ``vectorised`` flag) pair.
-
-    ``mode`` wins when given; otherwise ``vectorised=True`` selects the
-    kernel pipeline and ``vectorised=False`` the serial cached loop.
+    Both are bit-identical to ``DatacenterSimulator.run``, the oracle.
     """
-    if mode is None:
-        return "kernel" if vectorised else "loop"
-    if mode not in EXECUTION_MODES:
-        raise ConfigurationError(
-            f"mode must be one of {EXECUTION_MODES}, got {mode!r}")
-    return mode
+    if faults is not None and len(faults) > 0:
+        return "loop"
+    return "kernel" if type(trace) is WorkloadTrace else "loop"
 
 
 # ----------------------------------------------------------------------
@@ -286,11 +276,8 @@ class EngineMetrics:
     cache_hits / cache_misses / cache_hit_rate:
         Cooling-decision cache counters for this run.
     mode:
-        Execution mode actually used (see :data:`EXECUTION_MODES`;
-        fault-carrying jobs report ``"loop"``).
-    vectorised:
-        Whether an array-batched path (``"kernel"`` or ``"step"``) ran;
-        kept for backward compatibility with ``mode``.
+        Execution path that ran (see :func:`resolve_mode`): ``"kernel"``
+        or ``"loop"``.
     kernel:
         Per-phase wall times of the whole-trace kernel
         (decide/evaluate/reduce/fold); ``None`` outside kernel mode.
@@ -318,7 +305,6 @@ class EngineMetrics:
     cache_misses: int = 0
     cache_hit_rate: float = 0.0
     mode: str = "kernel"
-    vectorised: bool = True
     kernel: KernelTimings | None = None
     executor: str = "serial"
     n_workers: int = 1
@@ -336,7 +322,6 @@ class EngineMetrics:
             "steps_per_s": round(self.steps_per_s, 1),
             "cache_hit_rate": round(self.cache_hit_rate, 4),
             "mode": self.mode,
-            "vectorised": self.vectorised,
             "executor": self.executor,
             "n_workers": self.n_workers,
             "retries": self.retries,
@@ -449,25 +434,20 @@ class SimulationJob:
 
 
 class _CachedVectorisedSimulator(DatacenterSimulator):
-    """A :class:`DatacenterSimulator` with memoised, batched stepping.
+    """A :class:`DatacenterSimulator` with memoised decisions.
 
     The scheduler, policy, partitioning and aggregation all come from
-    the parent class; what changes depends on the execution mode:
-
-    * every mode routes cooling decisions through a
-      :class:`CoolingDecisionCache`;
-    * ``"step"`` batches the per-server thermal/TEG evaluation across
-      all circulations that chose the same (clamped) cooling setting;
-    * ``"kernel"`` skips the step loop entirely and runs the
-      whole-trace pipeline of :mod:`repro.core.kernel`.
+    the parent class.  Cooling decisions always route through a
+    :class:`CoolingDecisionCache`; in ``"kernel"`` mode (see
+    :func:`resolve_mode`) the step loop is skipped entirely for the
+    whole-trace pipeline of :mod:`repro.core.kernel`, otherwise the
+    parent's serial loop runs.
     """
 
     def __init__(self, trace: WorkloadTrace, config: SimulationConfig,
                  cpu_model: CpuThermalModel | None = None,
                  teg_module: TegModule | None = None,
                  cache: CoolingDecisionCache | None = None,
-                 vectorised: bool = True,
-                 mode: str | None = None,
                  faults: FaultSchedule | None = None,
                  step_offset: int = 0,
                  server_offset: int = 0) -> None:
@@ -481,16 +461,7 @@ class _CachedVectorisedSimulator(DatacenterSimulator):
                          server_offset=server_offset, **kwargs)
         # `is None` check: an empty cache is falsy (it has __len__).
         self._cache = cache if cache is not None else CoolingDecisionCache()
-        # Fault injection needs the parent's fault-aware serial step
-        # (degraded fallback, shadow accounting); decisions stay cached.
-        mode = resolve_mode(mode, vectorised)
-        if mode == "kernel" and type(trace) is not WorkloadTrace:
-            # Trace subclasses may override step(); the whole-trace
-            # kernel reads the utilisation plane directly and would
-            # silently bypass them, so drop to the per-step path.
-            mode = "step"
-        self._mode = "loop" if self._fault_runtime is not None else mode
-        self._vectorised = self._mode in ("kernel", "step")
+        self._mode = resolve_mode(trace, faults)
         self.kernel_timings: KernelTimings | None = None
         self._context = (config.name, config.policy, config.scheduler,
                          config.cold_source_temp_c, config.safe_temp_c)
@@ -502,7 +473,7 @@ class _CachedVectorisedSimulator(DatacenterSimulator):
 
     @property
     def mode(self) -> str:
-        """Execution mode actually in effect (fault jobs force "loop")."""
+        """Execution path in effect: ``"kernel"`` or ``"loop"``."""
         return self._mode
 
     def _decide(self, scheduled: np.ndarray):
@@ -527,87 +498,10 @@ class _CachedVectorisedSimulator(DatacenterSimulator):
         self._record_telemetry(result)
         return result
 
-    def _run_step(self, step_index: int):
-        if self._mode != "step":
-            return super()._run_step(step_index)
-        step_utils = self.trace.step(step_index)
-
-        # Phase 1 — schedule and decide per circulation (cache-assisted).
-        scheduled_groups = []
-        applied_settings = []
-        for group, circulation in zip(self._groups, self._circulations):
-            scheduled = self._scheduler.schedule(step_utils[group])
-            decision = self._decide(scheduled)
-            scheduled_groups.append(scheduled)
-            applied_settings.append(circulation.cdu.apply(decision.setting))
-
-        # Phase 2 — batched per-server evaluation.  All model entry
-        # points are elementwise over utilisation, so evaluating the
-        # gathered batch yields exactly the per-circulation values.
-        n = self.trace.n_servers
-        sched_all = np.empty(n)
-        cpu_temps = np.empty(n)
-        outlet_temps = np.empty(n)
-        cpu_powers = np.empty(n)
-        teg_powers = np.empty(n)
-        for group, scheduled in zip(self._groups, scheduled_groups):
-            sched_all[group] = scheduled
-
-        by_setting: dict[tuple[float, float], list[int]] = {}
-        for index, applied in enumerate(applied_settings):
-            by_setting.setdefault(
-                (applied.flow_l_per_h, applied.inlet_temp_c),
-                []).append(index)
-        for members in by_setting.values():
-            applied = applied_settings[members[0]]
-            if len(members) == 1:
-                indices = self._groups[members[0]]
-            else:
-                indices = np.concatenate(
-                    [self._groups[m] for m in members])
-            batch = sched_all[indices]
-            outlets = self.cpu_model.outlet_temp_c(batch, applied)
-            cpu_temps[indices] = self.cpu_model.cpu_temp_c(batch, applied)
-            outlet_temps[indices] = outlets
-            cpu_powers[indices] = self.cpu_model.cpu_power_w(batch)
-            teg_powers[indices] = self.teg_module.generation_w(
-                outlets, self.config.cold_source_temp_c,
-                applied.flow_l_per_h)
-
-        # Phase 3 — per-circulation facility accounting, then fold with
-        # the serial aggregation (same order, same arithmetic).
-        states = []
-        for group, circulation, applied, scheduled in zip(
-                self._groups, self._circulations, applied_settings,
-                scheduled_groups):
-            group_powers = cpu_powers[group]
-            captured_heat_w = float(np.sum(group_powers))
-            tower_heat, chiller_heat = circulation.tower.split_with_chiller(
-                captured_heat_w, applied.inlet_temp_c,
-                circulation.wet_bulb_c)
-            states.append(CirculationState(
-                utilisations=scheduled,
-                cpu_temps_c=cpu_temps[group],
-                outlet_temps_c=outlet_temps[group],
-                cpu_powers_w=group_powers,
-                teg_powers_w=teg_powers[group],
-                setting=applied,
-                chiller_power_w=circulation.chiller.electricity_w_for_heat(
-                    chiller_heat),
-                tower_power_w=circulation.tower.electricity_w_for_heat(
-                    tower_heat),
-                pump_power_w=circulation.n_servers * loop_pump_power_w(
-                    circulation.pipe_segments, applied.flow_l_per_h,
-                    applied.inlet_temp_c),
-            ))
-        return self._aggregate_step(step_index, step_utils, states)
-
 
 def simulate(trace: WorkloadTrace, config: SimulationConfig,
              cpu_model: CpuThermalModel | None = None,
              teg_module: TegModule | None = None, *,
-             vectorised: bool = True,
-             mode: str | None = None,
              cache: CoolingDecisionCache | None = None,
              cache_resolution: float = DEFAULT_CACHE_RESOLUTION,
              faults: FaultSchedule | None = None,
@@ -619,11 +513,10 @@ def simulate(trace: WorkloadTrace, config: SimulationConfig,
     Returns a :class:`SimulationResult` that is bit-identical to
     ``DatacenterSimulator(trace, config, ...).run()`` but carries
     :class:`EngineMetrics` (phase wall times, steps/sec, cache stats,
-    kernel-phase timings).  ``mode`` picks the execution path (see
-    :data:`EXECUTION_MODES`; default ``"kernel"``, or ``"loop"`` when
-    ``vectorised=False``).  Attaching a ``faults`` schedule switches
-    stepping to the simulator's fault-aware serial loop (decisions stay
-    cached); without one the output is unchanged down to the bit.
+    kernel-phase timings).  The inputs choose the execution path (see
+    :func:`resolve_mode`): a ``faults`` schedule or a trace subclass
+    steps through the simulator's serial loop (decisions stay cached),
+    every other job runs the whole-trace kernel.
 
     ``telemetry`` (explicit, else ``REPRO_TELEMETRY``) records the run
     into a *private* :class:`repro.obs.Telemetry` session and attaches
@@ -647,12 +540,10 @@ def simulate(trace: WorkloadTrace, config: SimulationConfig,
     key = None
     has_faults = faults is not None and len(faults) > 0
     if store is not None and type(trace) is WorkloadTrace:
-        effective_mode = "loop" if has_faults else resolve_mode(
-            mode, vectorised)
         key = result_key(trace, config, cpu_model, teg_module,
                          faults=faults if has_faults else None,
                          cache_resolution=cache.resolution,
-                         mode=effective_mode)
+                         mode=resolve_mode(trace, faults))
         cached = store.load(key)
         if cached is not None:
             return cached
@@ -664,7 +555,7 @@ def simulate(trace: WorkloadTrace, config: SimulationConfig,
             with obs.span("engine.setup"):
                 simulator = _CachedVectorisedSimulator(
                     trace, config, cpu_model, teg_module, cache=cache,
-                    vectorised=vectorised, mode=mode, faults=faults)
+                    faults=faults)
                 warmed = None
                 if key is not None and not has_faults:
                     warmed = _warm_restore(store, simulator, trace,
@@ -691,7 +582,6 @@ def simulate(trace: WorkloadTrace, config: SimulationConfig,
         cache_misses=cache.stats.misses,
         cache_hit_rate=cache.stats.hit_rate,
         mode=simulator.mode,
-        vectorised=simulator._vectorised,
         kernel=simulator.kernel_timings,
     )
     if local is not None:
@@ -780,8 +670,7 @@ def _warm_save(store: ResultCache, simulator, trace, config,
     store.store_warm(w1, w2, entries)
 
 
-def _execute_job(job: SimulationJob, mode: str,
-                 cache_resolution: float,
+def _execute_job(job: SimulationJob, cache_resolution: float,
                  telemetry: bool = False,
                  cache_dir=None) -> SimulationResult:
     """Worker entry point (module-level so process pools can pickle it).
@@ -796,7 +685,6 @@ def _execute_job(job: SimulationJob, mode: str,
     store.
     """
     return simulate(job.trace, job.config, job.cpu_model, job.teg_module,
-                    mode=mode,
                     cache_resolution=cache_resolution,
                     faults=job.faults,
                     telemetry=telemetry,
@@ -1142,7 +1030,6 @@ class _JobPayload:
     cpu_model: CpuThermalModel | None
     teg_module: TegModule | None
     faults: FaultSchedule | None
-    mode: str
     cache_resolution: float
     trace: WorkloadTrace | None = None
     #: Resolved by the engine before dispatch so worker processes need
@@ -1160,7 +1047,7 @@ def _execute_payload(payload: _JobPayload) -> SimulationResult:
     else:
         trace = _trace_from_ref(payload.trace_ref)
     return simulate(trace, payload.config, payload.cpu_model,
-                    payload.teg_module, mode=payload.mode,
+                    payload.teg_module,
                     cache_resolution=payload.cache_resolution,
                     faults=payload.faults,
                     telemetry=payload.telemetry,
@@ -1444,13 +1331,6 @@ class BatchSimulationEngine:
     n_workers:
         Parallel workers; ``None`` defers to ``REPRO_WORKERS`` or the
         CPU count.  ``1`` runs serially in-process.
-    vectorised:
-        Legacy switch between the fastest array path and the serial
-        cached loop; superseded by ``mode`` (results are bit-identical
-        either way).
-    mode:
-        Execution mode inside each job — ``"kernel"`` (default),
-        ``"step"`` or ``"loop"``; see :data:`EXECUTION_MODES`.
     cache_resolution:
         Utilisation quantisation of each job's decision cache.
     prefer:
@@ -1537,8 +1417,6 @@ class BatchSimulationEngine:
     """
 
     def __init__(self, n_workers: int | None = None, *,
-                 vectorised: bool = True,
-                 mode: str | None = None,
                  cache_resolution: float = DEFAULT_CACHE_RESOLUTION,
                  prefer: str = "process",
                  max_retries: int = 0,
@@ -1590,8 +1468,6 @@ class BatchSimulationEngine:
         #: alongside, so an id can never be recycled while cached).
         self._trace_digests: dict[int, tuple[WorkloadTrace, str]] = {}
         self.n_workers = n_workers
-        self.vectorised = vectorised
-        self.mode = resolve_mode(mode, vectorised)
         self.cache_resolution = cache_resolution
         self.prefer = prefer
         self.max_retries = max_retries
@@ -1732,7 +1608,6 @@ class BatchSimulationEngine:
             cpu_model=job.cpu_model,
             teg_module=job.teg_module,
             faults=job.faults,
-            mode=self.mode,
             cache_resolution=self.cache_resolution,
             trace=trace,
             telemetry=self.telemetry,
@@ -1742,7 +1617,7 @@ class BatchSimulationEngine:
     def _submit(self, executor, kind: str, job: SimulationJob) -> Future:
         if kind == "process":
             return executor.submit(_execute_payload, self._payload(job))
-        return executor.submit(_execute_job, job, self.mode,
+        return executor.submit(_execute_job, job,
                                self.cache_resolution, self.telemetry,
                                self.result_cache)
 
@@ -1784,8 +1659,7 @@ class BatchSimulationEngine:
             while True:
                 state.attempts += 1
                 try:
-                    result = _execute_job(job, self.mode,
-                                          self.cache_resolution,
+                    result = _execute_job(job, self.cache_resolution,
                                           self.telemetry,
                                           self.result_cache)
                 except Exception as exc:
@@ -2025,11 +1899,6 @@ class BatchSimulationEngine:
             # window views would strip it, exactly like the kernel and
             # the zero-copy dispatch, so such jobs run whole.
             return None
-        has_faults = job.faults is not None and len(job.faults) > 0
-        if not has_faults and self.mode != "kernel":
-            # "step"/"loop" exist to cross-check the kernel; sharding
-            # only accelerates the kernel and fault paths.
-            return None
         if trace.n_servers < job.config.circulation_size:
             # The unsharded path raises the proper ConfigurationError.
             return None
@@ -2052,7 +1921,7 @@ class BatchSimulationEngine:
                    else min(DEFAULT_SHARD_SERVERS, trace.n_servers))
         steps = (shard_steps if shard_steps is not None
                  else min(DEFAULT_SHARD_STEPS, trace.n_steps))
-        if has_faults:
+        if job.faults is not None and len(job.faults) > 0:
             servers = None  # masks span the cluster: time-only shards
         specs = plan_shards(trace.n_steps, trace.n_servers,
                             job.config.circulation_size,
@@ -2077,7 +1946,7 @@ class BatchSimulationEngine:
         """The result-cache / dedup identity of one job.
 
         Matches the key a worker's :func:`simulate` derives for the
-        same job (same mode resolution, same decision-cache
+        same job (same :func:`resolve_mode`, same decision-cache
         resolution), so a result stored by a worker is found by the
         coordinator on the next run and vice versa.  Trace subclasses
         can carry behaviour the plane digest cannot see, so they key on
@@ -2089,15 +1958,12 @@ class BatchSimulationEngine:
             trace_hash = self._trace_hash(job.trace)
         else:
             trace_hash = f"id:{id(job.trace)}"
-        if has_faults:
-            mode = "loop"
-        else:
-            mode = "kernel" if specs is not None else self.mode
         return result_key(job.trace, job.config, job.cpu_model,
                           job.teg_module,
                           faults=job.faults if has_faults else None,
                           cache_resolution=self.cache_resolution,
-                          mode=mode, specs=specs,
+                          mode=resolve_mode(job.trace, job.faults),
+                          specs=specs,
                           trace_hash=trace_hash)
 
     def _job_store(self, job: SimulationJob, specs):
@@ -2117,7 +1983,9 @@ class BatchSimulationEngine:
             faults=job.faults if has_faults else None,
             cache_resolution=self.cache_resolution,
             specs=specs,
-            extra=() if specs is not None else (("mode", self.mode),),
+            # Every unsharded run has carried this label since the key
+            # was introduced; keeping it lets existing roots resume.
+            extra=() if specs is not None else (("mode", "kernel"),),
             trace_hash=self._trace_hash(job.trace))
         name = "--".join((_fs_slug(job.config.name),
                           _fs_slug(job.trace.name), key.short))
@@ -2569,7 +2437,6 @@ class BatchSimulationEngine:
             cache_misses=cache_misses,
             cache_hit_rate=cache_hits / lookups if lookups else 0.0,
             mode="loop" if has_faults else "kernel",
-            vectorised=not has_faults,
             kernel=merge.timings,
             n_shards=merge.n_added,
             shards_resumed=resumed,
@@ -2719,7 +2586,7 @@ class BatchSimulationEngine:
             self._health.job_done()
         workers = resolve_workers(self.n_workers, n_units)
         timeout_s = resolve_job_timeout(self.job_timeout_s)
-        obs.emit("batch.start", n_jobs=len(jobs), mode=self.mode,
+        obs.emit("batch.start", n_jobs=len(jobs),
                  workers=workers, prefer=self.prefer,
                  shards=total_shards, resumed=len(resumed_results),
                  deduped=len(dup_of), cache_hits=len(cache_results))
@@ -2907,8 +2774,6 @@ class BatchSimulationEngine:
 
 def run_batch(jobs: Iterable[SimulationJob],
               n_workers: int | None = None, *,
-              vectorised: bool = True,
-              mode: str | None = None,
               prefer: str = "process",
               max_retries: int = 0,
               retry_backoff_s: float = 0.1,
@@ -2931,9 +2796,8 @@ def run_batch(jobs: Iterable[SimulationJob],
     across several batches.  With ``telemetry`` on, the merged session
     survives on ``BatchResult.telemetry``.
     """
-    engine = BatchSimulationEngine(n_workers, vectorised=vectorised,
-                                   mode=mode,
-                                   prefer=prefer, max_retries=max_retries,
+    engine = BatchSimulationEngine(n_workers, prefer=prefer,
+                                   max_retries=max_retries,
                                    retry_backoff_s=retry_backoff_s,
                                    job_timeout_s=job_timeout_s,
                                    telemetry=telemetry,
@@ -2957,8 +2821,6 @@ def compare_batch(traces: Sequence[WorkloadTrace],
                   n_workers: int | None = None, *,
                   cpu_model: CpuThermalModel | None = None,
                   teg_module: TegModule | None = None,
-                  vectorised: bool = True,
-                  mode: str | None = None,
                   prefer: str = "process",
                   cache=None,
                   metrics_port: int | None = None) -> BatchResult:
@@ -2966,8 +2828,7 @@ def compare_batch(traces: Sequence[WorkloadTrace],
     jobs = [SimulationJob(trace=trace, config=config, cpu_model=cpu_model,
                           teg_module=teg_module)
             for trace in traces for config in configs]
-    return run_batch(jobs, n_workers, vectorised=vectorised, mode=mode,
-                     prefer=prefer, cache=cache, metrics_port=metrics_port)
+    return run_batch(jobs, n_workers, prefer=prefer, cache=cache, metrics_port=metrics_port)
 
 
 __all__ = [
@@ -2976,7 +2837,6 @@ __all__ = [
     "SHARD_STRAGGLER_ENV_VAR",
     "SEGMENT_PREFIX",
     "DEFAULT_CACHE_RESOLUTION",
-    "EXECUTION_MODES",
     "CacheStats",
     "CoolingDecisionCache",
     "EngineMetrics",

@@ -42,7 +42,6 @@ are replayed at the earliest offending cell in serial evaluation order.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -55,7 +54,6 @@ from ..thermal.hydraulics import loop_pump_power_w
 from .results import ColumnarSteps, SafetyViolation, SimulationResult
 
 __all__ = [
-    "KERNEL_BATCH_ENV_VAR",
     "KernelColumns",
     "KernelError",
     "KernelTimings",
@@ -63,13 +61,6 @@ __all__ = [
     "run_kernel_columns",
     "run_whole_trace",
 ]
-
-#: Set to ``0`` to disable the vectorised batch-decision path and run
-#: the scalar per-uid decide loop instead — the escape hatch for
-#: third-party debugging and the A/B lever the pipeline benchmark
-#: uses.  Both paths are bit-identical.
-KERNEL_BATCH_ENV_VAR = "REPRO_KERNEL_BATCH"
-
 
 @dataclass
 class KernelTimings:
@@ -178,8 +169,6 @@ def _batched_decisions(sim, plane: np.ndarray, bindings: np.ndarray,
 
     * the simulator or its policy does not implement the batch protocol
       (third-party policies keep working through ``sim._decide``);
-    * ``REPRO_KERNEL_BATCH=0`` disables the path (an escape hatch and
-      the A/B lever the pipeline benchmark uses);
     * the plane contains values outside ``[0, 1]`` (or NaN) — the serial
       path raises on the first offending *vector*, inside the policy,
       so the scalar loop must run to reproduce that exact error.
@@ -195,8 +184,6 @@ def _batched_decisions(sim, plane: np.ndarray, bindings: np.ndarray,
     if decide_batch is None or policy is None:
         return None
     if not callable(getattr(policy, "decide_batch", None)):
-        return None
-    if os.environ.get(KERNEL_BATCH_ENV_VAR, "").strip() == "0":
         return None
     if plane.size == 0:
         return None

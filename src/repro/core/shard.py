@@ -413,8 +413,7 @@ def primed_or_warm(trace: WorkloadTrace, config: SimulationConfig,
     """
     sim = _CachedVectorisedSimulator(
         trace, config, cpu_model, teg_module,
-        cache=CoolingDecisionCache(resolution=cache_resolution),
-        mode="kernel")
+        cache=CoolingDecisionCache(resolution=cache_resolution))
     if not getattr(sim._policy, "cache_resolution", None):
         return None
     restored = None
@@ -562,7 +561,7 @@ def _run_kernel_shard(tile, spec, config, cpu_model, teg_module, cache,
                       outcome) -> None:
     """Kernel phases 1–3 over one tile, offsets in the global frame."""
     sim = _CachedVectorisedSimulator(
-        tile, config, cpu_model, teg_module, cache=cache, mode="kernel",
+        tile, config, cpu_model, teg_module, cache=cache,
         step_offset=spec.step_start, server_offset=spec.server_start)
     columns = run_kernel_columns(sim)
     outcome.columns = columns
@@ -581,7 +580,7 @@ def _run_fault_shard(tile, spec, config, cpu_model, teg_module, faults,
                      cache, policy, outcome) -> None:
     """The fault-aware serial loop over one full-width time window."""
     sim = _CachedVectorisedSimulator(
-        tile, config, cpu_model, teg_module, cache=cache, mode="loop",
+        tile, config, cpu_model, teg_module, cache=cache,
         faults=faults, step_offset=spec.step_start)
     if policy is not None:
         # Sequential fault windows share one policy so a memoising
@@ -1229,7 +1228,6 @@ def simulate_sharded(trace: WorkloadTrace, config: SimulationConfig,
             cache_misses=cache_misses,
             cache_hit_rate=cache_hits / lookups if lookups else 0.0,
             mode="loop" if has_faults else "kernel",
-            vectorised=not has_faults,
             kernel=merge.timings,
             n_shards=len(specs),
             shards_resumed=len(store.loaded) if store is not None else 0,

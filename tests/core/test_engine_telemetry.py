@@ -31,8 +31,7 @@ def _jobs():
 
 
 def _run(prefer: str):
-    return run_batch(_jobs(), 2, mode="kernel", prefer=prefer,
-                     telemetry=True)
+    return run_batch(_jobs(), 2, prefer=prefer, telemetry=True)
 
 
 class TestExecutorIndependence:
@@ -94,8 +93,8 @@ class TestExecutorIndependence:
 class TestObservationalPurity:
     def test_records_bit_identical_with_telemetry(self):
         jobs = _jobs()[:2]
-        plain = run_batch(jobs, 1, mode="kernel", prefer="serial")
-        observed = run_batch(jobs, 1, mode="kernel", prefer="serial",
+        plain = run_batch(jobs, 1, prefer="serial")
+        observed = run_batch(jobs, 1, prefer="serial",
                              telemetry=True)
         for a, b in zip(plain.results, observed.results):
             assert a.records == b.records
@@ -104,8 +103,7 @@ class TestObservationalPurity:
 
     def test_simulate_attaches_picklable_snapshot(self):
         trace = common_trace(seed=12, **TRACE_KWARGS)
-        result = simulate(trace, teg_original(), mode="kernel",
-                          telemetry=True)
+        result = simulate(trace, teg_original(), telemetry=True)
         assert isinstance(result.telemetry, TelemetrySnapshot)
         restored = pickle.loads(pickle.dumps(result.telemetry))
         assert restored.metrics.counters["sim.steps"] \
@@ -113,7 +111,7 @@ class TestObservationalPurity:
 
     def test_simulate_without_telemetry_attaches_nothing(self):
         trace = common_trace(seed=12, **TRACE_KWARGS)
-        result = simulate(trace, teg_original(), mode="kernel")
+        result = simulate(trace, teg_original())
         assert result.telemetry is None
 
 
@@ -127,8 +125,7 @@ class TestFaultTelemetry:
             seed=3)
         job = SimulationJob(trace=common_trace(seed=12, **TRACE_KWARGS),
                             config=teg_original(), faults=schedule)
-        batch = run_batch([job], 1, mode="kernel", prefer="serial",
-                          telemetry=True)
+        batch = run_batch([job], 1, prefer="serial", telemetry=True)
         counters = batch.telemetry.registry.snapshot().counters
         assert counters["faults.activations"] == 1
         events = batch.telemetry.events.of_kind("fault.activation")
@@ -142,7 +139,7 @@ class TestFaultTelemetry:
 class TestEnvironmentFlag:
     def test_env_enables_batch_telemetry(self, monkeypatch):
         monkeypatch.setenv("REPRO_TELEMETRY", "1")
-        batch = run_batch(_jobs()[:1], 1, mode="kernel", prefer="serial")
+        batch = run_batch(_jobs()[:1], 1, prefer="serial")
         assert batch.telemetry is not None
         assert batch.telemetry.registry.snapshot().counters["sim.runs"] \
             == 1
@@ -150,10 +147,10 @@ class TestEnvironmentFlag:
     def test_malformed_env_fails_before_any_job(self, monkeypatch):
         monkeypatch.setenv("REPRO_TELEMETRY", "sometimes")
         with pytest.raises(ConfigurationError, match="REPRO_TELEMETRY"):
-            run_batch(_jobs()[:1], 1, mode="kernel", prefer="serial")
+            run_batch(_jobs()[:1], 1, prefer="serial")
 
     def test_explicit_false_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_TELEMETRY", "1")
-        batch = run_batch(_jobs()[:1], 1, mode="kernel",
-                          prefer="serial", telemetry=False)
+        batch = run_batch(_jobs()[:1], 1, prefer="serial",
+                          telemetry=False)
         assert batch.telemetry is None

@@ -1,4 +1,4 @@
-"""Whole-trace kernel tests: parity, columnar store, mode plumbing.
+"""Whole-trace kernel tests: parity, columnar store, mode resolution.
 
 The kernel pipeline (``repro.core.kernel``) collapses the simulator's
 time loop into NumPy planes.  Its contract is the same as the engine's:
@@ -20,7 +20,6 @@ from repro.core.config import (
     teg_original,
 )
 from repro.core.engine import (
-    EXECUTION_MODES,
     CoolingDecisionCache,
     _CachedVectorisedSimulator,
     resolve_mode,
@@ -58,23 +57,41 @@ def trailing_trace():
     return drastic_trace(**TRAILING_TRACE_KWARGS)
 
 
+class Plain(WorkloadTrace):
+    """No overrides; being a subclass routes it through the serial loop."""
+
+
+def on_loop_path(trace: WorkloadTrace) -> Plain:
+    return Plain(trace.utilisation, trace.interval_s, name=trace.name)
+
+
+def active_schedule() -> FaultSchedule:
+    return FaultSchedule(specs=(
+        FaultSpec(kind="sensor_bias", start_s=600.0, duration_s=600.0,
+                  magnitude=0.05),), seed=3)
+
+
 class TestModeResolution:
+    """The job's inputs, not a user setting, choose the run path."""
+
     def test_default_is_kernel(self):
-        assert resolve_mode(None) == "kernel"
+        assert resolve_mode(trailing_trace()) == "kernel"
 
-    def test_unvectorised_default_is_loop(self):
-        assert resolve_mode(None, vectorised=False) == "loop"
+    def test_empty_fault_schedule_stays_on_kernel(self):
+        empty = FaultSchedule(specs=(), seed=0)
+        assert resolve_mode(trailing_trace(), empty) == "kernel"
 
-    def test_explicit_mode_wins_over_vectorised(self):
-        assert resolve_mode("step", vectorised=False) == "step"
+    def test_active_fault_schedule_runs_the_loop(self):
+        assert resolve_mode(trailing_trace(), active_schedule()) == "loop"
 
-    @pytest.mark.parametrize("mode", EXECUTION_MODES)
-    def test_known_modes_pass_through(self, mode):
-        assert resolve_mode(mode) == mode
+    def test_trace_subclass_runs_the_loop(self):
+        assert resolve_mode(on_loop_path(trailing_trace())) == "loop"
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ConfigurationError):
-            resolve_mode("warp")
+    def test_simulate_reports_the_resolved_path(self):
+        trace = trailing_trace()
+        assert simulate(trace, teg_original()).metrics.mode == "kernel"
+        assert simulate(trace, teg_original(),
+                        faults=active_schedule()).metrics.mode == "loop"
 
 
 class TestKernelParity:
@@ -84,13 +101,15 @@ class TestKernelParity:
     def test_trailing_group_parity_all_modes(self, config):
         trace = trailing_trace()
         serial = DatacenterSimulator(trace, config).run()
-        for mode in EXECUTION_MODES:
-            fast = simulate(trace, config, mode=mode)
+        for mode, path_trace in (("kernel", trace),
+                                 ("loop", on_loop_path(trace))):
+            fast = simulate(path_trace, config)
+            assert fast.metrics.mode == mode
             assert fast.records == serial.records, mode
             assert fast.violations == serial.violations, mode
 
     def test_kernel_result_is_columnar(self):
-        result = simulate(trailing_trace(), teg_original(), mode="kernel")
+        result = simulate(trailing_trace(), teg_original())
         assert isinstance(result.records, ColumnarSteps)
         assert result.metrics.mode == "kernel"
         timings = result.metrics.kernel
@@ -99,26 +118,21 @@ class TestKernelParity:
         assert set(timings.summary()) == {
             "decide_s", "evaluate_s", "reduce_s", "fold_s", "total_s"}
 
-    def test_step_and_loop_modes_report_no_kernel_timings(self):
-        trace = trailing_trace()
-        assert simulate(trace, teg_original(),
-                        mode="step").metrics.kernel is None
-        assert simulate(trace, teg_original(),
-                        mode="loop").metrics.kernel is None
+    def test_loop_mode_reports_no_kernel_timings(self):
+        trace = on_loop_path(trailing_trace())
+        assert simulate(trace, teg_original()).metrics.kernel is None
 
     def test_compare_schemes_parity_across_paths(self):
         trace = trailing_trace()
         reference = compare_schemes(trace, teg_original(),
                                     teg_loadbalance())
-        for mode in EXECUTION_MODES:
-            comparison = compare_schemes(trace, teg_original(),
-                                         teg_loadbalance(), mode=mode)
-            assert comparison.baseline.records == \
-                reference.baseline.records, mode
-            assert comparison.optimised.records == \
-                reference.optimised.records, mode
-            assert comparison.generation_improvement == \
-                reference.generation_improvement, mode
+        for mode, path_trace in (("kernel", trace),
+                                 ("loop", on_loop_path(trace))):
+            baseline = simulate(path_trace, teg_original())
+            optimised = simulate(path_trace, teg_loadbalance())
+            assert baseline.metrics.mode == mode
+            assert baseline.records == reference.baseline.records, mode
+            assert optimised.records == reference.optimised.records, mode
 
     def test_violation_log_parity(self):
         # A deliberately hot static setting produces violations the
@@ -129,7 +143,7 @@ class TestKernelParity:
             static_setting=CoolingSetting(flow_l_per_h=30.0,
                                           inlet_temp_c=55.0))
         serial = DatacenterSimulator(trace, hot).run()
-        kernel = simulate(trace, hot, mode="kernel")
+        kernel = simulate(trace, hot)
         assert serial.violations  # scenario must actually violate
         assert kernel.violations == serial.violations
         assert kernel.records == serial.records
@@ -146,7 +160,7 @@ class TestKernelParity:
                 ("serial",
                  DatacenterSimulator(trace, hot).run),
                 ("kernel",
-                 lambda: simulate(trace, hot, mode="kernel"))):
+                 lambda: simulate(trace, hot))):
             with pytest.raises(CoolingFailureError) as excinfo:
                 run()
             exc = excinfo.value
@@ -161,8 +175,7 @@ class TestKernelParity:
         for label, sim in (
                 ("serial", DatacenterSimulator(trace, config)),
                 ("kernel", _CachedVectorisedSimulator(
-                    trace, config, cache=CoolingDecisionCache(),
-                    mode="kernel"))):
+                    trace, config, cache=CoolingDecisionCache()))):
             for circulation in sim._circulations:
                 circulation.tower = replace(circulation.tower,
                                             max_heat_kw=0.3)
@@ -171,7 +184,7 @@ class TestKernelParity:
             errors[label] = str(excinfo.value)
         assert errors["serial"] == errors["kernel"]
 
-    def test_trace_subclass_falls_back_to_step_mode(self):
+    def test_trace_subclass_falls_back_to_loop_mode(self):
         # Subclasses may override step(); the kernel reads the plane
         # directly and would bypass them, so it must not engage.
         class Halved(WorkloadTrace):
@@ -181,7 +194,7 @@ class TestKernelParity:
         base = trailing_trace()
         halved = Halved(base.utilisation, base.interval_s, name="halved")
         result = simulate(halved, teg_original())
-        assert result.metrics.mode == "step"
+        assert result.metrics.mode == "loop"
         serial = DatacenterSimulator(halved, teg_original()).run()
         assert result.records == serial.records
 
@@ -234,7 +247,7 @@ class TestColumnarSteps:
     """The struct-of-arrays record store behind kernel results."""
 
     def result(self):
-        return simulate(trailing_trace(), teg_original(), mode="kernel")
+        return simulate(trailing_trace(), teg_original())
 
     def test_lazy_records_match_serial_objects(self):
         columnar = self.result().records
@@ -287,57 +300,43 @@ class TestColumnarSteps:
 
 
 class TestKernelBatchEscapeHatch:
-    """REPRO_KERNEL_BATCH=0 falls back to the scalar decide loop."""
+    """A policy without ``decide_batch`` takes the scalar decide loop."""
 
     def trace(self):
         return drastic_trace(n_servers=47, duration_s=24 * 300.0,
                              interval_s=300.0, seed=7)
 
     def test_scalar_path_is_bit_identical(self, monkeypatch):
-        from repro.core.kernel import KERNEL_BATCH_ENV_VAR
+        from repro.control.cooling_policy import LookupSpacePolicy
 
         trace = self.trace()
-        batched = simulate(trace, teg_original(), mode="kernel")
-        monkeypatch.setenv(KERNEL_BATCH_ENV_VAR, "0")
-        scalar = simulate(trace, teg_original(), mode="kernel")
+        batched = simulate(trace, teg_original())
+        monkeypatch.setattr(LookupSpacePolicy, "decide_batch", None)
+        scalar = simulate(trace, teg_original())
         assert scalar.records == batched.records
         assert scalar.violations == batched.violations
 
     def test_escape_hatch_really_avoids_the_batch_api(self, monkeypatch):
         from repro.control.cooling_policy import LookupSpacePolicy
-        from repro.core.kernel import KERNEL_BATCH_ENV_VAR
 
-        calls = []
+        batch_calls, scalar_calls = [], []
+        original_batch = LookupSpacePolicy.decide_batch
+        original_decide = LookupSpacePolicy.decide
 
-        original = LookupSpacePolicy.decide_batch
+        def batch_spy(self, bindings):
+            batch_calls.append(len(bindings))
+            return original_batch(self, bindings)
 
-        def spy(self, bindings):
-            calls.append(len(bindings))
-            return original(self, bindings)
+        def decide_spy(self, utilisations):
+            scalar_calls.append(len(utilisations))
+            return original_decide(self, utilisations)
 
-        monkeypatch.setattr(LookupSpacePolicy, "decide_batch", spy)
+        monkeypatch.setattr(LookupSpacePolicy, "decide_batch", batch_spy)
+        monkeypatch.setattr(LookupSpacePolicy, "decide", decide_spy)
         trace = self.trace()
-        simulate(trace, teg_original(), mode="kernel")
-        assert calls  # default path goes through decide_batch
-        calls.clear()
-        monkeypatch.setenv(KERNEL_BATCH_ENV_VAR, "0")
-        simulate(trace, teg_original(), mode="kernel")
-        assert calls == []  # scalar loop never touches it
-
-    def test_other_values_keep_the_batched_path(self, monkeypatch):
-        from repro.control.cooling_policy import LookupSpacePolicy
-        from repro.core.kernel import KERNEL_BATCH_ENV_VAR
-
-        calls = []
-        original = LookupSpacePolicy.decide_batch
-
-        def spy(self, bindings):
-            calls.append(len(bindings))
-            return original(self, bindings)
-
-        monkeypatch.setattr(LookupSpacePolicy, "decide_batch", spy)
-        for value in ("1", "true", "", "off"):
-            calls.clear()
-            monkeypatch.setenv(KERNEL_BATCH_ENV_VAR, value)
-            simulate(self.trace(), teg_original(), mode="kernel")
-            assert calls, f"value {value!r} unexpectedly disabled batching"
+        simulate(trace, teg_original())
+        assert batch_calls  # default path goes through decide_batch
+        assert scalar_calls == []
+        monkeypatch.setattr(LookupSpacePolicy, "decide_batch", None)
+        simulate(trace, teg_original())
+        assert scalar_calls  # the scalar loop decides cell by cell

@@ -357,7 +357,7 @@ class TestStreamingMerge:
 
     def test_any_completion_order_matches_unsharded(self):
         trace, config, specs, outcomes = self.setup_run()
-        reference = simulate(trace, config, mode="kernel")
+        reference = simulate(trace, config)
         for seed in (0, 1, 2):
             shuffled = list(outcomes)
             random.Random(seed).shuffle(shuffled)
@@ -464,7 +464,7 @@ class TestShardAutotune:
         planned = len(plan_shards(48, 80,
                                   teg_original().circulation_size,
                                   shard_servers=20, shard_steps=6))
-        reference = simulate(trace, teg_original(), mode="kernel")
+        reference = simulate(trace, teg_original())
         tuned = self.run_sharded(trace, autotune=True)
         assert tuned.records == reference.records
         assert tuned.violations == reference.violations
@@ -487,7 +487,7 @@ class TestZeroCopyColumns:
         from multiprocessing import shared_memory
 
         trace, config = small_trace(), teg_original()
-        reference = simulate(trace, config, mode="kernel")
+        reference = simulate(trace, config)
         specs = plan_shards(trace.n_steps, trace.n_servers,
                             config.circulation_size,
                             shard_servers=20, shard_steps=8)

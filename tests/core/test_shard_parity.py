@@ -78,7 +78,7 @@ class TestKernelParity:
                              ids=lambda g: f"s{g[0]}xt{g[1]}")
     def test_bit_identical(self, config, grid):
         trace = trailing_trace()
-        unsharded = simulate(trace, config, mode="kernel")
+        unsharded = simulate(trace, config)
         sharded = simulate_sharded(trace, config, shard_servers=grid[0],
                                    shard_steps=grid[1])
         assert_identical(sharded, unsharded)
@@ -98,7 +98,7 @@ class TestKernelParity:
         config = replace(teg_original(), circulation_size=1)
         trace = drastic_trace(n_servers=9, duration_s=6 * 300.0,
                               interval_s=300.0, seed=3)
-        unsharded = simulate(trace, config, mode="kernel")
+        unsharded = simulate(trace, config)
         sharded = simulate_sharded(trace, config, shard_servers=1,
                                    shard_steps=2)
         assert_identical(sharded, unsharded)
@@ -113,7 +113,7 @@ class TestKernelParity:
             name="hot", scheduler="none", policy="static",
             static_setting=CoolingSetting(flow_l_per_h=30.0,
                                           inlet_temp_c=55.0))
-        unsharded = simulate(trace, hot, mode="kernel")
+        unsharded = simulate(trace, hot)
         assert unsharded.violations  # scenario must actually violate
         sharded = simulate_sharded(trace, hot, shard_servers=20,
                                    shard_steps=5)
@@ -144,7 +144,7 @@ class TestDecisionBoundaries:
     @pytest.mark.parametrize("shard_steps", [6, 5, 7, 1])
     def test_boundary_at_and_around_the_flip(self, config, shard_steps):
         trace = self.two_phase_trace()
-        unsharded = simulate(trace, config, mode="kernel")
+        unsharded = simulate(trace, config)
         sharded = simulate_sharded(trace, config, shard_servers=20,
                                    shard_steps=shard_steps)
         assert_identical(sharded, unsharded)
@@ -153,7 +153,7 @@ class TestDecisionBoundaries:
         # Guard the scenario itself: losing the flip would turn the
         # parametrised cases above into trivial passes.
         trace = self.two_phase_trace()
-        result = simulate(trace, teg_original(), mode="kernel")
+        result = simulate(trace, teg_original())
         inlets = np.array([r.mean_inlet_temp_c for r in result.records])
         assert inlets[5] != inlets[6]
 
@@ -197,7 +197,7 @@ class TestErrorParity:
                                           inlet_temp_c=55.0))
         errors = {}
         for label, run in (
-                ("kernel", lambda: simulate(trace, hot, mode="kernel")),
+                ("kernel", lambda: simulate(trace, hot)),
                 ("sharded", lambda: simulate_sharded(
                     trace, hot, shard_servers=20, shard_steps=5)),
                 ("sharded-tiny", lambda: simulate_sharded(
@@ -225,8 +225,7 @@ class TestErrorParity:
         config = teg_original()
         errors = {}
         for label, run in (
-                ("kernel", lambda: simulate(trace, config,
-                                            mode="kernel")),
+                ("kernel", lambda: simulate(trace, config)),
                 ("sharded", lambda: simulate_sharded(
                     trace, config, shard_servers=20, shard_steps=5))):
             with pytest.raises(PhysicalRangeError) as excinfo:
@@ -256,7 +255,7 @@ class TestPropertyParity:
         trace = drastic_trace(n_servers=n_servers,
                               duration_s=n_steps * 300.0,
                               interval_s=300.0, seed=seed)
-        unsharded = simulate(trace, config, mode="kernel")
+        unsharded = simulate(trace, config)
         sharded = simulate_sharded(trace, config,
                                    shard_servers=shard_servers,
                                    shard_steps=shard_steps)

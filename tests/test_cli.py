@@ -106,7 +106,7 @@ class TestHotspot:
 
 class TestBatchCheckpoint:
     ARGS = ["batch", "--traces", "common", "--schemes", "original",
-            "--servers", "40", "--workers", "1", "--mode", "kernel",
+            "--servers", "40", "--workers", "1",
             "--shard", "--shard-steps", "12"]
 
     def test_resume_requires_checkpoint(self):

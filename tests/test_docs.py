@@ -45,6 +45,24 @@ class TestDesignDoc:
         assert "matches the target title" in read("DESIGN.md")
 
 
+class TestEngineKnobTable:
+    """docs/engine.md lists every ``REPRO_*`` variable the code reads."""
+
+    def test_table_matches_source_constants(self):
+        in_source = set()
+        for path in (REPO / "src").rglob("*.py"):
+            in_source.update(re.findall(r"[\"'](REPRO_[A-Z0-9_]+)[\"']",
+                                        path.read_text()))
+        text = read("docs/engine.md")
+        table = text.split(
+            "All `REPRO_*` environment variables in one place:", 1)[1]
+        table = table.strip().split("\n\n", 1)[0]
+        in_table = set(re.findall(r"^\| `(REPRO_[A-Z0-9_]+)`", table,
+                                  flags=re.MULTILINE))
+        assert in_table == in_source
+        assert len(in_source) == 12
+
+
 class TestExperimentsDoc:
     def test_exists(self):
         assert (REPO / "EXPERIMENTS.md").exists()
