@@ -124,12 +124,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        const=False,
                        help="ignore REPRO_CACHE and run everything "
                             "fresh")
-    batch.add_argument("--shard-autotune", default=None,
-                       action="store_true",
-                       help="probe the first shard and re-size the "
-                            "rest for throughput (bit-identical; "
-                            "default: REPRO_SHARD_AUTOTUNE or off); "
-                            "skipped with --checkpoint")
     batch.add_argument("--shard-straggler", type=float, default=None,
                        metavar="SECONDS",
                        help="speculatively re-dispatch a shard that "
@@ -309,7 +303,6 @@ def _cmd_batch(args: argparse.Namespace, reporter: Reporter) -> int:
                                    shard_servers=args.shard_servers,
                                    shard_steps=args.shard_steps,
                                    shard_straggler_s=args.shard_straggler,
-                                   shard_autotune=args.shard_autotune,
                                    checkpoint=args.checkpoint,
                                    resume=args.resume,
                                    cache=args.cache,

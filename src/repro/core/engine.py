@@ -53,7 +53,8 @@ from concurrent.futures import (
     wait,
 )
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import partial
 from multiprocessing import shared_memory
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -61,11 +62,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .. import obs
-from ..errors import (
-    ConfigurationError,
-    JobExecutionError,
-    ShardExecutionError,
-)
+from ..errors import ConfigurationError, JobExecutionError
 from ..faults import FaultSchedule
 from ..teg.module import TegModule
 from ..thermal.cpu_model import CpuThermalModel
@@ -1379,20 +1376,6 @@ class BatchSimulationEngine:
         ``None`` defers to ``REPRO_SHARD_STRAGGLER`` (unset means off).
         Results are unaffected — shards are deterministic — only tail
         latency is.
-    shard_autotune:
-        Re-plan a sharded job's remaining tiles from its first tile's
-        measured throughput: the first shard runs as a probe, and the
-        rest of the plane is re-tiled with wider (never narrower) time
-        windows sized for :data:`AUTOTUNE_TARGET_SHARD_S` seconds each,
-        keeping at least a pool's worth of tiles.  Results stay
-        bit-identical (tiling never affects the arithmetic — the parity
-        suite pins this); only the shard count, and with it
-        ``EngineMetrics.n_shards``, becomes throughput-dependent, which
-        is why it defaults off.  ``None`` defers to
-        ``REPRO_SHARD_AUTOTUNE`` (unset means off).  Ignored for
-        fault-carrying jobs (their windows run sequentially), resumed
-        checkpoints (saved tiles pin the plan), and explicitly sized
-        plans.
     checkpoint:
         Root directory for durable checkpoint state (see
         :mod:`repro.core.checkpoint` and ``docs/checkpoint.md``).  Each
@@ -1427,7 +1410,6 @@ class BatchSimulationEngine:
                  shard_servers: int | None = None,
                  shard_steps: int | None = None,
                  shard_straggler_s: float | None = None,
-                 shard_autotune: bool | None = None,
                  checkpoint: "str | os.PathLike | None" = None,
                  resume: bool = True,
                  cache=None,
@@ -1454,13 +1436,10 @@ class BatchSimulationEngine:
             if value is not None and value <= 0:
                 raise ConfigurationError(
                     f"{label} must be > 0, got {value}")
-        from .shard import resolve_shard_autotune
-
         self.shard = shard
         self.shard_servers = shard_servers
         self.shard_steps = shard_steps
         self.shard_straggler_s = shard_straggler_s
-        self.shard_autotune = resolve_shard_autotune(shard_autotune)
         self.checkpoint = (None if checkpoint is None
                            else Path(os.fspath(checkpoint)))
         self.resume = resume
@@ -1996,459 +1975,6 @@ class BatchSimulationEngine:
             n_shards=len(specs) if specs is not None else 0,
             kind=kind, resume=self.resume)
 
-    def _shard_retry(self, job: SimulationJob, spec, attempt: int,
-                     exc: BaseException) -> bool:
-        """Record one shard failure; True when it should be retried.
-
-        The emitted event always carries the shard's coordinates,
-        attempt number and (when the worker wrapped it as a
-        :class:`~repro.errors.ShardExecutionError`) the worker pid.
-        """
-        if isinstance(exc, ShardExecutionError):
-            exc.attempt = attempt
-            context = dict(exc.context())
-        else:
-            context = {"shard_index": spec.index,
-                       "step_start": spec.step_start,
-                       "step_stop": spec.step_stop,
-                       "server_start": spec.server_start,
-                       "server_stop": spec.server_stop,
-                       "attempt": attempt, "worker_pid": None}
-        retrying = attempt <= self.max_retries
-        obs.emit("shard.retry" if retrying else "shard.failed",
-                 scheme=job.config.name, trace=job.trace.name,
-                 error_type=type(exc).__name__, error=str(exc),
-                 **context)
-        if retrying:
-            obs.add("engine.shards.retried", 1)
-        return retrying
-
-    def _run_sharded_job(self, job: SimulationJob, specs,
-                         kind: str, workers: int,
-                         store=None) -> SimulationResult:
-        """Stream one job's shards through a fold-as-they-land pipeline.
-
-        Process executors ship :class:`~repro.core.shard._ShardPayload`
-        objects — a windowed :class:`SharedTraceRef` plus the spec and
-        the :func:`~repro.core.shard.prime_decisions` cache — so
-        payload size is independent of trace length and shard count.
-        Instead of collecting every outcome and merging behind a
-        barrier, a :class:`~repro.core.shard.StreamingMerge` folds each
-        shard into preallocated whole-cluster columns the moment it
-        completes; on the process pool (without checkpointing) workers
-        write their plane tiles straight into a shared column block, so
-        results come back zero-copy too.  A broken pool degrades to
-        running the remaining shards in-process (the merge cannot
-        tolerate holes); per-shard failures honour ``max_retries``.
-        Fault-carrying jobs run their time windows sequentially
-        in-process: their cooling decisions key on sensor readings,
-        which only the serial window order can prime bit-identically.
-        The per-job wall-clock budget is **not** enforced on sharded
-        jobs (documented in ``docs/engine.md``); shards that run past
-        the straggler deadline are speculatively re-dispatched instead.
-
-        With a ``store``, every completed shard is persisted the moment
-        it lands and already-persisted shards are never re-dispatched,
-        so a resumed run is bit-identical to an uninterrupted one (see
-        ``docs/checkpoint.md``).  Checkpointed jobs keep the pickled
-        column return (saved shards must be self-contained) and are
-        never autotuned (saved tiles pin the plan).
-        """
-        from .shard import (
-            COLUMN_PLANES,
-            ShardColumnRef,
-            StreamingMerge,
-            run_shard,
-        )
-
-        started = time.perf_counter()
-        has_faults = job.faults is not None and len(job.faults) > 0
-        job_labels = {"scheme": job.config.name, "trace": job.trace.name}
-        obs.emit("shard.dispatch", scheme=job.config.name,
-                 trace=job.trace.name, shards=len(specs),
-                 executor="sequential" if has_faults else kind)
-        obs.add("engine.shards.dispatched", len(specs), labels=job_labels)
-        # With a live scrape endpoint attached, fold shard telemetry
-        # straight into the batch session as each shard lands, so a
-        # mid-run GET /metrics sees repro_shard_* series accumulate.
-        live_sink = obs.current() if self._live_server is not None else None
-
-        if has_faults:
-            merge = StreamingMerge(job.trace, job.config, kind="fault",
-                                   telemetry_sink=live_sink)
-            shared = CoolingDecisionCache(resolution=self.cache_resolution)
-            policy = None
-            for spec in specs:
-                saved = (store.load_shard(spec.index)
-                         if store is not None else None)
-                if saved is not None:
-                    outcome = saved["outcome"]
-                    # Restore the path-dependent state the next window
-                    # needs: the shared cache as it stood after this
-                    # window, and the policy instance it handed on.
-                    if saved.get("cache_store") is not None:
-                        shared._store = dict(saved["cache_store"])
-                    if outcome.policy is not None:
-                        policy = outcome.policy
-                    merge.add(outcome)
-                    self._health.shard_done()
-                    continue
-                tile = job.trace.window(spec.step_start, spec.step_stop,
-                                        spec.server_start,
-                                        spec.server_stop)
-                attempt = 0
-                while True:
-                    try:
-                        outcome = run_shard(
-                            tile, spec, job.config, job.cpu_model,
-                            job.teg_module, faults=job.faults,
-                            cache_resolution=self.cache_resolution,
-                            cache=shared, policy=policy,
-                            telemetry=self.telemetry)
-                        break
-                    except Exception as exc:
-                        attempt += 1
-                        if not self._shard_retry(job, spec, attempt,
-                                                 exc):
-                            raise
-                        self._backoff(attempt)
-                policy = outcome.policy
-                if store is not None:
-                    store.save_shard(spec.index, outcome,
-                                     cache_store=dict(shared._store))
-                merge.add(outcome)
-                self._health.shard_done()
-            return self._finish_sharded(job, merge, started, store=store)
-
-        # Zero-copy column return: workers write plane tiles into one
-        # shared whole-cluster block instead of pickling them back.
-        # Off with a checkpoint store (saved shards must carry their
-        # own columns) and off-pool (nothing to ship).  Without shared
-        # memory the merge simply allocates its planes locally.
-        column_block = None
-        column_ref = None
-        block_planes = None
-        if kind == "process" and store is None:
-            n_steps = job.trace.n_steps
-            n_circs = -(-job.trace.n_servers
-                        // job.config.circulation_size)
-            shape = (len(COLUMN_PLANES), n_steps, n_circs)
-            try:
-                column_block = self._shared_traces.scratch_block(
-                    int(np.prod(shape)) * np.dtype(np.float64).itemsize)
-            except OSError:  # pragma: no cover - no POSIX shm
-                column_block = None
-            else:
-                block_planes = np.ndarray(shape, dtype=np.float64,
-                                          buffer=column_block.buf)
-                column_ref = ShardColumnRef(shm_name=column_block.name,
-                                            n_steps=n_steps,
-                                            n_circs=n_circs)
-        merge = StreamingMerge(job.trace, job.config, kind="kernel",
-                               plane_block=block_planes,
-                               telemetry_sink=live_sink)
-        del block_planes
-        try:
-            return self._drain_shards(job, specs, kind, workers, merge,
-                                      column_ref, started, store)
-        finally:
-            if column_block is not None:
-                merge.release_planes()
-                self._shared_traces.release_scratch(column_block)
-
-    def _drain_shards(self, job: SimulationJob, specs, kind: str,
-                      workers: int, merge, column_ref,
-                      started: float, store=None) -> SimulationResult:
-        """Kernel-shard dispatch loop: resume, probe, submit, fold."""
-        from .shard import (
-            _ShardPayload,
-            _execute_shard_payload,
-            clone_cache,
-            primed_or_warm,
-            run_shard,
-        )
-
-        done = [False] * len(specs)
-        if store is not None:
-            for spec in specs:
-                saved = store.load_shard(spec.index)
-                if saved is not None:
-                    merge.add(saved["outcome"])
-                    self._health.shard_done()
-                    done[spec.index] = True
-        missing = [index for index in range(len(specs))
-                   if not done[index]]
-        if not missing:
-            # Fully resumed: skip the pre-pass entirely — no shard
-            # will run, so nothing needs the primed cache.
-            return self._finish_sharded(job, merge, started, store=store)
-
-        primed = primed_or_warm(job.trace, job.config, job.cpu_model,
-                                job.teg_module,
-                                cache_resolution=self.cache_resolution,
-                                result_cache=self.result_cache,
-                                trace_hash=(self._trace_hash(job.trace)
-                                            if self.result_cache is not None
-                                            else None))
-
-        def run_local(spec):
-            tile = job.trace.window(spec.step_start, spec.step_stop,
-                                    spec.server_start, spec.server_stop)
-            return run_shard(tile, spec, job.config, job.cpu_model,
-                             job.teg_module,
-                             cache_resolution=self.cache_resolution,
-                             cache=clone_cache(primed),
-                             telemetry=self.telemetry)
-
-        if (self.shard_autotune and store is None and len(specs) > 1
-                and len(missing) == len(specs)):
-            planned = len(specs)
-            specs = self._autotune_shards(job, specs, merge, run_local,
-                                          workers)
-            # The probe already folded one tile; re-base /healthz on
-            # the replanned denominator.
-            self._health.add_shards(1 + len(specs) - planned)
-            self._health.shard_done()
-            done = [False] * len(specs)
-            missing = list(range(len(specs)))
-            if not missing:
-                return self._finish_sharded(job, merge, started,
-                                            store=store)
-
-        straggler_s = resolve_shard_straggler(self.shard_straggler_s)
-        if kind in ("process", "thread"):
-            try:
-                executor = self._ensure_executor(kind, workers)
-                if kind == "process":
-                    base_ref = self._shared_traces.ref_for(job.trace)
-                    payloads = [
-                        _ShardPayload(
-                            trace_ref=replace(
-                                base_ref,
-                                row_start=spec.step_start,
-                                row_stop=spec.step_stop,
-                                col_start=spec.server_start,
-                                col_stop=spec.server_stop),
-                            spec=spec, config=job.config,
-                            cpu_model=job.cpu_model,
-                            teg_module=job.teg_module, faults=None,
-                            cache_resolution=self.cache_resolution,
-                            decisions=primed,
-                            telemetry=self.telemetry,
-                            column_ref=column_ref)
-                        for spec in specs]
-
-                    def submit(index):
-                        return executor.submit(_execute_shard_payload,
-                                               payloads[index])
-                else:
-                    def submit(index):
-                        return executor.submit(run_local, specs[index])
-
-                futures: dict[Future, int] = {}
-                attempts = {index: 0 for index in missing}
-                running_since: dict[Future, float] = {}
-                speculated: set[int] = set()
-                for index in missing:
-                    futures[submit(index)] = index
-                try:
-                    while futures:
-                        completed, _ = wait(
-                            futures,
-                            timeout=(_POLL_INTERVAL_S
-                                     if straggler_s is not None
-                                     else None),
-                            return_when=FIRST_COMPLETED)
-                        for future in completed:
-                            index = futures.pop(future)
-                            running_since.pop(future, None)
-                            if future.cancelled() or done[index]:
-                                # A speculative duplicate lost the
-                                # race; its twin's result already
-                                # landed.
-                                continue
-                            try:
-                                outcome = future.result()
-                            except BrokenExecutor:
-                                raise
-                            except Exception as exc:
-                                attempts[index] += 1
-                                if not self._shard_retry(
-                                        job, specs[index],
-                                        attempts[index], exc):
-                                    raise
-                                self._backoff(attempts[index])
-                                futures[submit(index)] = index
-                            else:
-                                done[index] = True
-                                if store is not None:
-                                    store.save_shard(index, outcome)
-                                merge.add(outcome)
-                                self._health.shard_done()
-                                for twin, twin_index in list(
-                                        futures.items()):
-                                    if twin_index == index:
-                                        twin.cancel()
-                        if straggler_s is None:
-                            continue
-                        now = time.perf_counter()
-                        for future, index in list(futures.items()):
-                            if future not in running_since:
-                                if future.running():
-                                    running_since[future] = now
-                                continue
-                            if (index in speculated
-                                    or done[index]
-                                    or now - running_since[future]
-                                    < straggler_s):
-                                continue
-                            # One speculative copy per shard: slow is
-                            # retried, but a systematically slow shard
-                            # must not fork-bomb the pool.
-                            speculated.add(index)
-                            obs.add("engine.shards.speculated", 1,
-                                    labels={"scheme": job.config.name,
-                                            "trace": job.trace.name})
-                            self._health.straggler()
-                            obs.emit(
-                                "shard.straggler",
-                                scheme=job.config.name,
-                                trace=job.trace.name,
-                                shard=specs[index].index,
-                                deadline_s=straggler_s,
-                                running_s=round(
-                                    now - running_since[future], 3))
-                            futures[submit(index)] = index
-                except BaseException:
-                    for future in futures:
-                        future.cancel()
-                    raise
-            except (BrokenExecutor, OSError):
-                # The pool died mid-flight (or could not start): it is
-                # untrustworthy, and the merge needs every shard — run
-                # whatever is missing in-process.
-                self._drop_executor()
-        for index, spec in enumerate(specs):
-            if not done[index]:
-                outcome = run_local(spec)
-                done[index] = True
-                if store is not None:
-                    store.save_shard(index, outcome)
-                merge.add(outcome)
-                self._health.shard_done()
-        return self._finish_sharded(job, merge, started, store=store)
-
-    def _autotune_shards(self, job: SimulationJob, specs, merge,
-                         run_local, workers: int):
-        """Probe the first tile, then re-tile the rest for throughput.
-
-        Runs ``specs[0]`` in-process, folds it into ``merge``, and
-        re-plans every remaining tile with a step window sized so one
-        tile takes about
-        :data:`~repro.core.shard.AUTOTUNE_TARGET_SHARD_S` seconds at
-        the measured cells/s — never narrower than planned, and halved
-        back while fewer tiles than pool workers would remain.  Tiling
-        never affects the arithmetic (the shard parity suite pins
-        this), so only the shard count changes.  Returns the remaining
-        specs, re-indexed after the probe.
-        """
-        from .shard import AUTOTUNE_TARGET_SHARD_S, ShardSpec
-
-        first = specs[0]
-        clock = time.perf_counter()
-        outcome = run_local(first)
-        probe_s = time.perf_counter() - clock
-        merge.add(outcome)
-        rest = list(specs[1:])
-        width = first.n_steps
-        rate = first.n_cells / probe_s if probe_s > 0 else 0.0
-        widest = max(spec.n_servers for spec in specs)
-        ideal = (int(rate * AUTOTUNE_TARGET_SHARD_S // widest)
-                 if rate > 0 and widest > 0 else 0)
-
-        # The remaining region, as contiguous step ranges per server
-        # block (the probe consumed the head of the first block).
-        blocks: dict[tuple, list] = {}
-        for spec in rest:
-            key = (spec.server_start, spec.server_stop,
-                   spec.circ_start, spec.circ_stop)
-            blocks.setdefault(key, []).append(spec)
-
-        def n_tiles(step_width):
-            return sum(
-                -(-(max(s.step_stop for s in olds)
-                    - min(s.step_start for s in olds)) // step_width)
-                for olds in blocks.values())
-
-        target_tiles = min(workers, len(rest))
-        new_width = max(width, ideal)
-        while new_width > width and n_tiles(new_width) < target_tiles:
-            new_width = max(width, new_width // 2)
-        if new_width <= width:
-            return rest
-        replanned = []
-        for key in sorted(blocks):
-            olds = blocks[key]
-            lo = min(s.step_start for s in olds)
-            hi = max(s.step_stop for s in olds)
-            server_start, server_stop, circ_start, circ_stop = key
-            for step_start in range(lo, hi, new_width):
-                replanned.append(ShardSpec(
-                    index=first.index + 1 + len(replanned),
-                    step_start=step_start,
-                    step_stop=min(step_start + new_width, hi),
-                    server_start=server_start,
-                    server_stop=server_stop,
-                    circ_start=circ_start,
-                    circ_stop=circ_stop))
-        obs.add("engine.shards.autotuned", 1)
-        obs.emit("shard.autotune", scheme=job.config.name,
-                 trace=job.trace.name, probe_s=round(probe_s, 4),
-                 cells_per_s=round(rate, 1), step_width=new_width,
-                 planned_width=width, shards_planned=len(specs),
-                 shards_executed=1 + len(replanned))
-        return replanned
-
-    def _finish_sharded(self, job: SimulationJob, merge,
-                        started: float, store=None) -> SimulationResult:
-        """Finalise one sharded job's streaming merge; attach metrics.
-
-        The finalise runs the post-merge invariant auditor (see
-        :func:`repro.core.shard.audit_merged_result`) before the result
-        escapes, so a buggy resume or a corrupted shard can never leak
-        a physically impossible result into downstream tables.
-        """
-        result = merge.result()
-        snapshot = merge.telemetry_snapshot()
-        if snapshot is not None:
-            result.telemetry = snapshot
-        wall = time.perf_counter() - started
-        cache_hits = merge.cache_hits
-        cache_misses = merge.cache_misses
-        lookups = cache_hits + cache_misses
-        has_faults = job.faults is not None and len(job.faults) > 0
-        resumed = len(store.loaded) if store is not None else 0
-        result.metrics = EngineMetrics(
-            wall_time_s=wall,
-            step_time_s=wall,
-            n_steps=job.trace.n_steps,
-            steps_per_s=(job.trace.n_steps / wall if wall > 0 else 0.0),
-            cache_hits=cache_hits,
-            cache_misses=cache_misses,
-            cache_hit_rate=cache_hits / lookups if lookups else 0.0,
-            mode="loop" if has_faults else "kernel",
-            kernel=merge.timings,
-            n_shards=merge.n_added,
-            shards_resumed=resumed,
-        )
-        obs.add("engine.shards.completed", merge.n_added,
-                labels={"scheme": job.config.name,
-                        "trace": job.trace.name})
-        obs.emit("shard.merge", scheme=job.config.name,
-                 trace=job.trace.name, shards=merge.n_added,
-                 resumed=resumed, wall_time_s=round(wall, 4))
-        return result
-
     def run(self, jobs: Iterable[SimulationJob]) -> BatchResult:
         """Execute every job; return partial results plus failures.
 
@@ -2504,6 +2030,8 @@ class BatchSimulationEngine:
         from .shard import (
             SHARD_SERVERS_ENV_VAR,
             SHARD_STEPS_ENV_VAR,
+            ShardDriver,
+            ShardPool,
             resolve_shard_size,
         )
 
@@ -2521,21 +2049,23 @@ class BatchSimulationEngine:
             specs = self._shard_plan(job, shard_servers, shard_steps)
             if specs is not None:
                 plans[index] = specs
-        total_shards = sum(len(specs) for specs in plans.values())
 
         # Checkpointing: one content-keyed store per job.  Whole jobs
         # with a saved result are answered from disk before any worker
-        # is resolved; sharded jobs resume shard-by-shard inside
-        # _run_sharded_job.
+        # is resolved; sharded jobs resume shard-by-shard inside the
+        # shard driver.  Trace subclasses can carry behaviour the
+        # plane digest cannot see, so — as with the result cache and
+        # dedup — they are never checkpointed.
         stores: dict[int, object] = {}
         resumed_results: dict[int, SimulationResult] = {}
         if self.checkpoint is not None:
             for index, job in enumerate(jobs):
-                stores[index] = self._job_store(job, plans.get(index))
-            for index in range(len(jobs)):
+                if type(job.trace) is WorkloadTrace:
+                    stores[index] = self._job_store(job, plans.get(index))
+            for index, store in stores.items():
                 if index in plans:
                     continue
-                cached = stores[index].load_result()
+                cached = store.load_result()
                 if cached is not None:
                     resumed_results[index] = cached
 
@@ -2623,14 +2153,38 @@ class BatchSimulationEngine:
         results_map.update(resumed_results)
         failures_map = {normal[sub]: failed
                         for sub, failed in sub_failures.items()}
+        # Sharded jobs run through the shard driver on the same
+        # persistent pool.  The per-job wall-clock budget is not
+        # enforced on them (see docs/engine.md).  With a live endpoint,
+        # shard telemetry folds straight into the batch session, so a
+        # mid-run GET /metrics sees repro_shard_* series accumulate.
+        pool = None
+        if executor in ("process", "thread"):
+            pool = ShardPool(
+                kind=executor,
+                acquire=partial(self._ensure_executor, executor, workers),
+                discard=self._drop_executor, segments=self._shared_traces)
         for index, specs in plans.items():
-            state = _JobState(index=index, job=jobs[index],
+            job = jobs[index]
+            state = _JobState(index=index, job=job,
                               started_at=time.perf_counter())
             state.attempts = 1
             try:
-                results_map[index] = self._run_sharded_job(
-                    jobs[index], specs, executor, workers,
-                    store=stores.get(index))
+                results_map[index] = ShardDriver(
+                    job, specs, cache_resolution=self.cache_resolution,
+                    telemetry=self.telemetry, store=stores.get(index),
+                    result_cache=self.result_cache,
+                    trace_hash=(self._trace_hash(job.trace)
+                                if self.result_cache is not None
+                                else None),
+                    pool=pool, max_retries=self.max_retries,
+                    backoff=self._backoff,
+                    straggler_s=resolve_shard_straggler(
+                        self.shard_straggler_s),
+                    health=self._health,
+                    telemetry_sink=(obs.current()
+                                    if self._live_server is not None
+                                    else None)).run()
             except Exception as exc:
                 failures_map[index] = state.failed(exc)
                 self._emit_job_event("job.failed", state, exc)
@@ -2783,7 +2337,6 @@ def run_batch(jobs: Iterable[SimulationJob],
               shard_servers: int | None = None,
               shard_steps: int | None = None,
               shard_straggler_s: float | None = None,
-              shard_autotune: bool | None = None,
               checkpoint: "str | os.PathLike | None" = None,
               resume: bool = True,
               cache=None,
@@ -2805,7 +2358,6 @@ def run_batch(jobs: Iterable[SimulationJob],
                                    shard_servers=shard_servers,
                                    shard_steps=shard_steps,
                                    shard_straggler_s=shard_straggler_s,
-                                   shard_autotune=shard_autotune,
                                    checkpoint=checkpoint,
                                    resume=resume,
                                    cache=cache,

@@ -10,9 +10,15 @@ circulations times bounded time windows.  This module
 * plans the tiling (:func:`plan_shards` — server boundaries always land
   on circulation boundaries, time windows may be ragged at the end),
 * runs kernel phases 1–3 on one tile (:func:`run_shard`, returning a
-  :class:`ShardOutcome` of per-circulation columns), and
+  :class:`ShardOutcome` of per-circulation columns),
 * stitches the tiles back into whole-cluster columns and replays the
-  phase-4 fold once over them (:func:`merge_shard_outcomes`).
+  phase-4 fold once over them (:class:`StreamingMerge`), and
+* drives a whole plan — resume, prime, dispatch, save, fold — in one
+  loop (:class:`ShardDriver`) that both the batch engine and
+  :func:`simulate_sharded` run.
+
+The oracle every sharded run is checked against is the unsharded
+``simulate()`` / ``DatacenterSimulator.run``.
 
 Bit-identity
 ------------
@@ -60,12 +66,20 @@ fixtures and hypothesis property tests included.
 
 from __future__ import annotations
 
+import itertools
 import os
 import time
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    BrokenExecutor,
+    Executor,
+    Future,
+    wait,
+)
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import KW_ONLY, dataclass, field, replace
 from multiprocessing import shared_memory
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -84,16 +98,22 @@ from ..thermal.cpu_model import CpuThermalModel
 from ..workloads.trace import WorkloadTrace
 from .config import SimulationConfig
 from .cache import ResultCache, resolve_result_cache, result_key
+from .checkpoint import CheckpointStore, run_key
 from .engine import (
+    _POLL_INTERVAL_S,
     DEFAULT_CACHE_RESOLUTION,
     CacheStats,
     CoolingDecisionCache,
     EngineMetrics,
     SharedTraceRef,
+    SimulationJob,
     _CachedVectorisedSimulator,
+    _SharedTraceRegistry,
     _trace_from_ref,
     _warm_restore,
     _warm_save,
+    resolve_mode,
+    simulate,
 )
 from .kernel import (
     KernelColumns,
@@ -106,17 +126,17 @@ from .kernel import (
 from .results import ColumnarSteps, SimulationResult
 
 __all__ = [
-    "AUTOTUNE_TARGET_SHARD_S",
     "AUTO_SHARD_MIN_CELLS",
     "COLUMN_PLANES",
     "DEFAULT_SHARD_SERVERS",
     "DEFAULT_SHARD_STEPS",
-    "SHARD_AUTOTUNE_ENV_VAR",
     "SHARD_SERVERS_ENV_VAR",
     "SHARD_STEPS_ENV_VAR",
     "ShardColumnRef",
     "ShardError",
+    "ShardDriver",
     "ShardOutcome",
+    "ShardPool",
     "ShardSpec",
     "StreamingMerge",
     "audit_merged_result",
@@ -125,7 +145,6 @@ __all__ = [
     "plan_shards",
     "prime_decisions",
     "primed_or_warm",
-    "resolve_shard_autotune",
     "resolve_shard_size",
     "run_shard",
     "simulate_sharded",
@@ -136,12 +155,6 @@ __all__ = [
 SHARD_SERVERS_ENV_VAR = "REPRO_SHARD_SERVERS"
 SHARD_STEPS_ENV_VAR = "REPRO_SHARD_STEPS"
 
-#: Environment flag enabling throughput-based shard re-planning (see
-#: :meth:`BatchSimulationEngine._autotune_shards`).  Explicit engine
-#: arguments win over the environment; default off, so planned shard
-#: counts stay deterministic unless a run opts in.
-SHARD_AUTOTUNE_ENV_VAR = "REPRO_SHARD_AUTOTUNE"
-
 #: A kernel job auto-shards once its plane reaches this many cells
 #: (steps x servers) — about the point where splitting pays for the
 #: merge.  12.5k x 8,900 is ~111M cells, 55 default tiles.
@@ -150,11 +163,6 @@ AUTO_SHARD_MIN_CELLS = 2_000_000
 #: Default tile dimensions when auto-sharding (clamped to the trace).
 DEFAULT_SHARD_SERVERS = 2500
 DEFAULT_SHARD_STEPS = 2500
-
-#: Autotuned tiles (opt-in; see ``BatchSimulationEngine``'s
-#: ``shard_autotune``) are re-sized so one tile takes about this many
-#: seconds at the first tile's measured throughput.
-AUTOTUNE_TARGET_SHARD_S = 5.0
 
 
 @dataclass(frozen=True)
@@ -278,29 +286,6 @@ def resolve_shard_size(explicit: int | None, env_var: str) -> int | None:
     if value <= 0:
         raise ConfigurationError(f"{env_var} must be > 0, got {value}")
     return value
-
-
-def resolve_shard_autotune(explicit: bool | None) -> bool:
-    """Whether shard autotuning is on: explicit > environment > off.
-
-    Raises
-    ------
-    ConfigurationError
-        When ``REPRO_SHARD_AUTOTUNE`` is set to something that is not a
-        recognisable boolean.
-    """
-    if explicit is not None:
-        return bool(explicit)
-    env = os.environ.get(SHARD_AUTOTUNE_ENV_VAR)
-    if env is None:
-        return False
-    value = env.strip().lower()
-    if value in ("1", "true", "yes", "on"):
-        return True
-    if value in ("", "0", "false", "no", "off"):
-        return False
-    raise ConfigurationError(
-        f"{SHARD_AUTOTUNE_ENV_VAR} must be a boolean flag, got {env!r}")
 
 
 def plan_shards(n_steps: int, n_servers: int, circulation_size: int,
@@ -1032,15 +1017,368 @@ def merge_shard_outcomes(trace: WorkloadTrace, config: SimulationConfig,
     return merge.result()
 
 
-def _merged_telemetry(outcomes: Sequence[ShardOutcome]):
-    """One :class:`repro.obs.TelemetrySnapshot` over all shard sessions."""
-    telemetry = obs.Telemetry()
-    merged_any = False
-    for outcome in outcomes:
-        if outcome.telemetry is not None:
-            telemetry.merge_snapshot(outcome.telemetry)
-            merged_any = True
-    return telemetry.snapshot() if merged_any else None
+@dataclass(frozen=True)
+class ShardPool:
+    """An executor pool a :class:`ShardDriver` may dispatch tiles to.
+
+    ``kind`` is ``"process"`` or ``"thread"``.  ``acquire()`` returns the
+    pool (the engine's persistent executor) and ``discard()`` drops it
+    once it has broken.  ``segments`` is the engine's shared-memory
+    registry: process workers read their tiles out of its trace segment
+    and write their planes into its zero-copy column block.
+    """
+
+    kind: str
+    acquire: Callable[[], Executor]
+    discard: Callable[[], None]
+    segments: _SharedTraceRegistry
+
+
+@dataclass
+class ShardDriver:
+    """The one loop that executes a shard plan and merges its tiles.
+
+    :class:`~repro.core.engine.BatchSimulationEngine` and
+    :func:`simulate_sharded` both run their shards through :meth:`run`,
+    which
+
+    1. folds every shard ``store`` already holds (checkpoint resume);
+    2. runs a fault job's time windows in order, in-process, sharing
+       one decision cache and one policy — a resumed window restores
+       both for its successor (see the module note);
+    3. for a kernel job, primes the decision cache (skipped when every
+       shard resumed), dispatches the missing tiles over ``pool`` with
+       per-shard retry and straggler re-dispatch, and runs in-process
+       whatever the pool did not deliver — all of them without a pool;
+    4. saves and folds each shard the moment it lands;
+    5. finalises the merge (post-merge audit included) and attaches
+       :class:`~repro.core.engine.EngineMetrics`.
+
+    A failed shard is retried up to ``max_retries`` times, sleeping
+    ``backoff(attempt)`` in between; past the budget its error
+    propagates.  ``health`` (a live ``/healthz`` state) counts landed
+    shards, and ``telemetry_sink`` receives shard telemetry as it folds
+    (see :class:`StreamingMerge`).  ``result_cache`` and ``trace_hash``
+    feed the warm start of the decision pre-pass
+    (:func:`primed_or_warm`).
+    """
+
+    job: SimulationJob
+    specs: Sequence[ShardSpec]
+    _: KW_ONLY
+    cache_resolution: float = DEFAULT_CACHE_RESOLUTION
+    telemetry: bool = False
+    store: CheckpointStore | None = None
+    result_cache: ResultCache | None = None
+    trace_hash: str | None = None
+    pool: ShardPool | None = None
+    max_retries: int = 0
+    backoff: Callable[[int], None] | None = None
+    straggler_s: float | None = None
+    health: obs.RunHealth = field(default_factory=obs.RunHealth)
+    telemetry_sink: obs.Telemetry | None = None
+
+    def __post_init__(self) -> None:
+        faults = self.job.faults
+        self.has_faults = faults is not None and len(faults) > 0
+        self._labels = {"scheme": self.job.config.name,
+                        "trace": self.job.trace.name}
+
+    def run(self) -> SimulationResult:
+        """Execute every missing shard; return the merged result."""
+        job = self.job
+        started = time.perf_counter()
+        executor = ("sequential" if self.has_faults
+                    else self.pool.kind if self.pool is not None
+                    else "serial")
+        obs.emit("shard.dispatch", **self._labels, shards=len(self.specs),
+                 executor=executor)
+        obs.add("engine.shards.dispatched", len(self.specs),
+                labels=self._labels)
+        column_block, column_ref = self._column_block()
+        merge = StreamingMerge(
+            job.trace, job.config,
+            kind="fault" if self.has_faults else "kernel",
+            plane_block=(None if column_block is None else np.ndarray(
+                column_ref.shape, dtype=np.float64,
+                buffer=column_block.buf)),
+            telemetry_sink=self.telemetry_sink)
+        try:
+            if self.has_faults:
+                self._run_fault_windows(merge)
+            else:
+                self._run_kernel_tiles(merge, column_ref)
+            result = merge.result()
+        finally:
+            if column_block is not None:
+                merge.release_planes()
+                self.pool.segments.release_scratch(column_block)
+        snapshot = merge.telemetry_snapshot()
+        if snapshot is not None:
+            result.telemetry = snapshot
+        wall = time.perf_counter() - started
+        cache_hits, cache_misses = merge.cache_hits, merge.cache_misses
+        lookups = cache_hits + cache_misses
+        resumed = len(self.store.loaded) if self.store is not None else 0
+        n_steps = job.trace.n_steps
+        result.metrics = EngineMetrics(
+            wall_time_s=wall, step_time_s=wall, n_steps=n_steps,
+            steps_per_s=n_steps / wall if wall > 0 else 0.0,
+            cache_hits=cache_hits, cache_misses=cache_misses,
+            cache_hit_rate=cache_hits / lookups if lookups else 0.0,
+            mode="loop" if self.has_faults else "kernel",
+            kernel=merge.timings, n_shards=merge.n_added,
+            shards_resumed=resumed)
+        obs.add("engine.shards.completed", merge.n_added,
+                labels=self._labels)
+        obs.emit("shard.merge", **self._labels, shards=merge.n_added,
+                 resumed=resumed, wall_time_s=round(wall, 4))
+        return result
+
+    # -- landing -------------------------------------------------------
+
+    def _resumed(self, spec: ShardSpec, merge: StreamingMerge):
+        """Fold ``spec``'s saved shard, if the store holds one."""
+        saved = (self.store.load_shard(spec.index)
+                 if self.store is not None else None)
+        if saved is not None:
+            merge.add(saved["outcome"])
+            self.health.shard_done()
+        return saved
+
+    def _land(self, merge: StreamingMerge, outcome: ShardOutcome,
+              **state) -> None:
+        """Persist one freshly executed shard, then fold it."""
+        if self.store is not None:
+            self.store.save_shard(outcome.spec.index, outcome, **state)
+        merge.add(outcome)
+        self.health.shard_done()
+
+    def _retry(self, spec: ShardSpec, attempt: int,
+               exc: BaseException) -> bool:
+        """Record one shard failure; True when it should be retried."""
+        if isinstance(exc, ShardExecutionError):
+            exc.attempt = attempt
+            context = dict(exc.context())
+        else:
+            context = {"shard_index": spec.index,
+                       "step_start": spec.step_start,
+                       "step_stop": spec.step_stop,
+                       "server_start": spec.server_start,
+                       "server_stop": spec.server_stop,
+                       "attempt": attempt, "worker_pid": None}
+        retrying = attempt <= self.max_retries
+        obs.emit("shard.retry" if retrying else "shard.failed",
+                 **self._labels, error_type=type(exc).__name__,
+                 error=str(exc), **context)
+        if retrying:
+            obs.add("engine.shards.retried", 1)
+            if self.backoff is not None:
+                self.backoff(attempt)
+        return retrying
+
+    # -- fault windows -------------------------------------------------
+
+    def _run_fault_windows(self, merge: StreamingMerge) -> None:
+        """Sequential time windows sharing one cache and one policy."""
+        job = self.job
+        shared = CoolingDecisionCache(resolution=self.cache_resolution)
+        policy = None
+        for spec in self.specs:
+            saved = self._resumed(spec, merge)
+            if saved is not None:
+                # Restore the path-dependent state the next window
+                # needs: the shared cache as it stood after this
+                # window, and the policy instance it handed on.
+                if saved.get("cache_store") is not None:
+                    shared._store = dict(saved["cache_store"])
+                if saved["outcome"].policy is not None:
+                    policy = saved["outcome"].policy
+                continue
+            tile = job.trace.window(spec.step_start, spec.step_stop,
+                                    spec.server_start, spec.server_stop)
+            for attempt in itertools.count(1):
+                try:
+                    outcome = run_shard(
+                        tile, spec, job.config, job.cpu_model,
+                        job.teg_module, faults=job.faults,
+                        cache_resolution=self.cache_resolution,
+                        cache=shared, policy=policy,
+                        telemetry=self.telemetry)
+                    break
+                except Exception as exc:
+                    if not self._retry(spec, attempt, exc):
+                        raise
+            policy = outcome.policy
+            self._land(merge, outcome, cache_store=dict(shared._store))
+
+    # -- kernel tiles --------------------------------------------------
+
+    def _column_block(self):
+        """A shared column block for zero-copy returns, and its handle.
+
+        Only for process workers of a kernel job without a checkpoint
+        store (saved shards must carry their own columns); otherwise,
+        or without shared memory, ``(None, None)``.
+        """
+        if (self.has_faults or self.pool is None
+                or self.pool.kind != "process" or self.store is not None):
+            return None, None
+        n_steps = self.job.trace.n_steps
+        n_circs = -(-self.job.trace.n_servers
+                    // self.job.config.circulation_size)
+        nbytes = (len(COLUMN_PLANES) * n_steps * n_circs
+                  * np.dtype(np.float64).itemsize)
+        try:
+            block = self.pool.segments.scratch_block(nbytes)
+        except OSError:  # pragma: no cover - no POSIX shm
+            return None, None
+        return block, ShardColumnRef(shm_name=block.name, n_steps=n_steps,
+                                     n_circs=n_circs)
+
+    def _run_kernel_tiles(self, merge: StreamingMerge,
+                          column_ref: ShardColumnRef | None) -> None:
+        """Resume, prime, dispatch and fold every kernel tile."""
+        job = self.job
+        missing = [spec for spec in self.specs
+                   if self._resumed(spec, merge) is None]
+        if not missing:
+            return
+        # The pre-pass is deterministic, so recomputing it on resume
+        # hands the remaining shards the same primed cache an
+        # uninterrupted run would have.
+        primed = primed_or_warm(
+            job.trace, job.config, job.cpu_model, job.teg_module,
+            cache_resolution=self.cache_resolution,
+            result_cache=self.result_cache, trace_hash=self.trace_hash)
+        done: set[int] = set()
+        if self.pool is not None:
+            self._dispatch(merge, missing, primed, column_ref, done)
+        for spec in missing:
+            if spec.index not in done:
+                self._land(merge, self._run_local(spec, primed))
+
+    def _run_local(self, spec: ShardSpec,
+                   primed: CoolingDecisionCache | None) -> ShardOutcome:
+        """One kernel tile, in this process, off a clone of ``primed``."""
+        job = self.job
+        tile = job.trace.window(spec.step_start, spec.step_stop,
+                                spec.server_start, spec.server_stop)
+        return run_shard(tile, spec, job.config, job.cpu_model,
+                         job.teg_module,
+                         cache_resolution=self.cache_resolution,
+                         cache=clone_cache(primed),
+                         telemetry=self.telemetry)
+
+    def _dispatch(self, merge: StreamingMerge, missing: list[ShardSpec],
+                  primed: CoolingDecisionCache | None,
+                  column_ref: ShardColumnRef | None,
+                  done: set[int]) -> None:
+        """Run ``missing`` on the pool, adding each landed index to ``done``.
+
+        Process workers receive a :class:`_ShardPayload` (a windowed
+        shared-memory trace ref, so payload size is independent of
+        trace length and shard count); thread workers run
+        :meth:`_run_local`.  A shard running past ``straggler_s`` is
+        speculatively re-dispatched once; the first copy to land wins.
+        A pool that breaks (or cannot start) is discarded, leaving the
+        rest to the in-process fallback — the merge cannot tolerate
+        holes.
+        """
+        job, pool = self.job, self.pool
+        straggler_s = self.straggler_s
+        try:
+            executor = pool.acquire()
+            if pool.kind == "process":
+                base_ref = pool.segments.ref_for(job.trace)
+
+                def submit(spec):
+                    payload = _ShardPayload(
+                        trace_ref=replace(
+                            base_ref, row_start=spec.step_start,
+                            row_stop=spec.step_stop,
+                            col_start=spec.server_start,
+                            col_stop=spec.server_stop),
+                        spec=spec, config=job.config,
+                        cpu_model=job.cpu_model,
+                        teg_module=job.teg_module, faults=None,
+                        cache_resolution=self.cache_resolution,
+                        decisions=primed, telemetry=self.telemetry,
+                        column_ref=column_ref)
+                    return executor.submit(_execute_shard_payload,
+                                           payload)
+            else:
+                def submit(spec):
+                    return executor.submit(self._run_local, spec, primed)
+
+            futures: dict[Future, ShardSpec] = {}
+            attempts = {spec.index: 0 for spec in missing}
+            running_since: dict[Future, float] = {}
+            speculated: set[int] = set()
+            for spec in missing:
+                futures[submit(spec)] = spec
+            try:
+                while futures:
+                    completed, _ = wait(
+                        futures,
+                        timeout=(_POLL_INTERVAL_S
+                                 if straggler_s is not None else None),
+                        return_when=FIRST_COMPLETED)
+                    for future in completed:
+                        spec = futures.pop(future)
+                        running_since.pop(future, None)
+                        if future.cancelled() or spec.index in done:
+                            # A speculative duplicate lost the race;
+                            # its twin's result already landed.
+                            continue
+                        try:
+                            outcome = future.result()
+                        except BrokenExecutor:
+                            raise
+                        except Exception as exc:
+                            attempts[spec.index] += 1
+                            if not self._retry(spec, attempts[spec.index],
+                                               exc):
+                                raise
+                            futures[submit(spec)] = spec
+                        else:
+                            done.add(spec.index)
+                            self._land(merge, outcome)
+                            for twin, twin_spec in list(futures.items()):
+                                if twin_spec.index == spec.index:
+                                    twin.cancel()
+                    if straggler_s is None:
+                        continue
+                    now = time.perf_counter()
+                    for future, spec in list(futures.items()):
+                        if future not in running_since:
+                            if future.running():
+                                running_since[future] = now
+                            continue
+                        if (spec.index in speculated or spec.index in done
+                                or now - running_since[future]
+                                < straggler_s):
+                            continue
+                        # One speculative copy per shard: slow is
+                        # retried, but a systematically slow shard must
+                        # not fork-bomb the pool.
+                        speculated.add(spec.index)
+                        obs.add("engine.shards.speculated", 1,
+                                labels=self._labels)
+                        self.health.straggler()
+                        obs.emit("shard.straggler", **self._labels,
+                                 shard=spec.index, deadline_s=straggler_s,
+                                 running_s=round(
+                                     now - running_since[future], 3))
+                        futures[submit(spec)] = spec
+            except BaseException:
+                for future in futures:
+                    future.cancel()
+                raise
+        except (BrokenExecutor, OSError):
+            # The pool died mid-flight (or could not start): it is
+            # untrustworthy, so the in-process fallback runs the rest.
+            pool.discard()
 
 
 def simulate_sharded(trace: WorkloadTrace, config: SimulationConfig,
@@ -1055,13 +1393,21 @@ def simulate_sharded(trace: WorkloadTrace, config: SimulationConfig,
                      checkpoint: "str | os.PathLike | None" = None,
                      resume: bool = True,
                      result_cache=None) -> SimulationResult:
-    """Split → run → merge one trace in-process (the reference path).
+    """Split → run → merge one trace in-process.
 
-    Bit-identical to ``simulate(trace, config, ...)``; the parity suite
-    pins that down.  The batch engine dispatches the same shards over
-    its executor instead — this function is the executable
-    specification the engine path is tested against, and a convenient
-    way to bound peak memory on a single core.
+    Bit-identical to ``simulate(trace, config, ...)`` — and so to
+    ``DatacenterSimulator(trace, config, ...).run()``, the oracle the
+    parity suite checks every sharded run against.  The tiles run one
+    after another in this process through the same :class:`ShardDriver`
+    the batch engine dispatches over its executor, which makes this a
+    convenient way to bound peak memory on a single core.  A shard
+    error is raised as the unsharded run would raise it; nothing is
+    retried.
+
+    A :class:`~repro.workloads.trace.WorkloadTrace` subclass can carry
+    behaviour (an overridden ``step()``) that a window of its plane
+    would drop, so it runs whole through :func:`simulate` instead:
+    unsharded, never checkpointed or cached, without a live endpoint.
 
     ``checkpoint`` names a directory in which every completed shard is
     persisted as it finishes (atomic write-then-rename, content-keyed
@@ -1087,7 +1433,6 @@ def simulate_sharded(trace: WorkloadTrace, config: SimulationConfig,
     bit-identical with it attached or not) and is shut down before the
     function returns.
     """
-    started = time.perf_counter()
     live_port = obs.resolve_metrics_port(metrics_port)
     if live_port is not None and telemetry is None:
         telemetry = True
@@ -1099,8 +1444,13 @@ def simulate_sharded(trace: WorkloadTrace, config: SimulationConfig,
             f"circulation needs {config.circulation_size}")
     shard_servers = resolve_shard_size(shard_servers, SHARD_SERVERS_ENV_VAR)
     shard_steps = resolve_shard_size(shard_steps, SHARD_STEPS_ENV_VAR)
-    has_faults = faults is not None and len(faults) > 0
-    if has_faults:
+    if type(trace) is not WorkloadTrace:
+        return simulate(trace, config, cpu_model, teg_module,
+                        cache_resolution=cache_resolution, faults=faults,
+                        telemetry=telemetry)
+    if faults is not None and len(faults) == 0:
+        faults = None  # an empty schedule is the nominal run
+    if faults is not None:
         shard_servers = None  # masks span the cluster: time-only shards
     record = obs.telemetry_enabled(telemetry)
     specs = plan_shards(trace.n_steps, trace.n_servers,
@@ -1109,139 +1459,48 @@ def simulate_sharded(trace: WorkloadTrace, config: SimulationConfig,
                         shard_steps=shard_steps)
     results_store = resolve_result_cache(result_cache)
     cache_key = None
-    if results_store is not None and type(trace) is WorkloadTrace:
+    if results_store is not None:
         cache_key = result_key(trace, config, cpu_model, teg_module,
-                               faults=faults if has_faults else None,
+                               faults=faults,
                                cache_resolution=cache_resolution,
-                               mode="loop" if has_faults else "kernel",
+                               mode=resolve_mode(trace, faults),
                                specs=specs)
         cached = results_store.load(cache_key)
         if cached is not None:
             return cached
     store = None
     if checkpoint is not None:
-        from .checkpoint import CheckpointStore, run_key
-
         store = CheckpointStore(
             checkpoint,
-            run_key(trace, config, cpu_model, teg_module,
-                    faults=faults if has_faults else None,
+            run_key(trace, config, cpu_model, teg_module, faults=faults,
                     cache_resolution=cache_resolution, specs=specs),
             n_shards=len(specs),
-            kind="fault" if has_faults else "kernel",
+            kind="kernel" if faults is None else "fault",
             resume=resume)
 
-    live_server = None
-    live_sink = None
-    health = None
+    health = obs.RunHealth()
+    health.begin(jobs_total=1, shards_total=len(specs))
+    live_server = live_sink = None
     if live_port is not None:
         live_server = obs.LiveTelemetryServer(port=live_port)
-        health = obs.RunHealth()
-        health.begin(jobs_total=1, shards_total=len(specs))
         if record:
             # Shard outcomes fold straight into this session, so a
             # mid-run scrape sees every completed shard's series.
             live_sink = obs.Telemetry()
         live_server.bind(live_sink, health)
-    merge = StreamingMerge(trace, config,
-                           kind="fault" if has_faults else "kernel",
-                           telemetry_sink=live_sink)
     try:
-        if has_faults:
-            # Sequential time windows sharing one cache and one policy:
-            # exactly the serial decision sequence (see the module note).
-            # A saved window restores both the outcome and the cache store
-            # its successor depends on, so resuming replays the identical
-            # sequence from the first missing window onward.
-            shared = CoolingDecisionCache(resolution=cache_resolution)
-            policy = None
-            for spec in specs:
-                saved = (store.load_shard(spec.index)
-                         if store is not None else None)
-                if saved is not None:
-                    outcome = saved["outcome"]
-                    if saved.get("cache_store") is not None:
-                        shared._store = dict(saved["cache_store"])
-                    if outcome.policy is not None:
-                        policy = outcome.policy
-                    merge.add(outcome)
-                    if health is not None:
-                        health.shard_done()
-                    continue
-                outcome = run_shard(
-                    trace.window(spec.step_start, spec.step_stop,
-                                 spec.server_start, spec.server_stop),
-                    spec, config, cpu_model, teg_module, faults=faults,
-                    cache_resolution=cache_resolution, cache=shared,
-                    policy=policy, telemetry=record)
-                policy = outcome.policy
-                if store is not None:
-                    store.save_shard(spec.index, outcome,
-                                     cache_store=dict(shared._store))
-                merge.add(outcome)
-                if health is not None:
-                    health.shard_done()
-        else:
-            missing: list[ShardSpec] = []
-            for spec in specs:
-                saved = (store.load_shard(spec.index)
-                         if store is not None else None)
-                if saved is not None:
-                    merge.add(saved["outcome"])
-                    if health is not None:
-                        health.shard_done()
-                else:
-                    missing.append(spec)
-            primed = None
-            if missing:
-                # The pre-pass is deterministic, so recomputing it on
-                # resume hands the remaining shards the same primed cache
-                # an uninterrupted run would have.  A warm-start snapshot
-                # (result cache) reproduces it without the full-plane pass.
-                primed = primed_or_warm(trace, config, cpu_model,
-                                        teg_module,
-                                        cache_resolution=cache_resolution,
-                                        result_cache=results_store)
-            for spec in missing:
-                outcome = run_shard(
-                    trace.window(spec.step_start, spec.step_stop,
-                                 spec.server_start, spec.server_stop),
-                    spec, config, cpu_model, teg_module,
-                    cache_resolution=cache_resolution,
-                    cache=clone_cache(primed), telemetry=record)
-                if store is not None:
-                    store.save_shard(spec.index, outcome)
-                merge.add(outcome)
-                if health is not None:
-                    health.shard_done()
-        result = merge.result()
-        wall = time.perf_counter() - started
-        cache_hits = merge.cache_hits
-        cache_misses = merge.cache_misses
-        lookups = cache_hits + cache_misses
-        result.metrics = EngineMetrics(
-            wall_time_s=wall,
-            step_time_s=wall,
-            n_steps=trace.n_steps,
-            steps_per_s=trace.n_steps / wall if wall > 0 else 0.0,
-            cache_hits=cache_hits,
-            cache_misses=cache_misses,
-            cache_hit_rate=cache_hits / lookups if lookups else 0.0,
-            mode="loop" if has_faults else "kernel",
-            kernel=merge.timings,
-            n_shards=len(specs),
-            shards_resumed=len(store.loaded) if store is not None else 0,
-        )
-        if record:
-            # With a live sink the merge holds no private session; the
-            # sink is private to this call, so its snapshot is exactly
-            # the per-run telemetry the non-live path would attach.
-            result.telemetry = (live_sink.snapshot() if live_sink
-                                is not None else merge.telemetry_snapshot())
+        result = ShardDriver(
+            SimulationJob(trace, config, cpu_model, teg_module, faults),
+            specs, cache_resolution=cache_resolution, telemetry=record,
+            store=store, result_cache=results_store, health=health,
+            telemetry_sink=live_sink).run()
+        if live_sink is not None:
+            # The sink is private to this call, so its snapshot is
+            # exactly the per-run telemetry the non-live path attaches.
+            result.telemetry = live_sink.snapshot()
         if cache_key is not None:
             results_store.store(cache_key, result)
-        if health is not None:
-            health.finish()
+        health.finish()
     finally:
         if live_server is not None:
             live_server.close()

@@ -111,11 +111,6 @@ class RunHealth:
         with self._lock:
             self.phase = phase
 
-    def add_shards(self, n: int) -> None:
-        """Grow the shard denominator (autotune replans, extra jobs)."""
-        with self._lock:
-            self.shards_total += n
-
     def shard_done(self, n: int = 1) -> None:
         with self._lock:
             self.shards_completed += n

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import teg_loadbalance, teg_original
-from repro.core.engine import SimulationJob, run_batch
+from repro.core.engine import SimulationJob, run_batch, simulate
 from repro.core.shard import simulate_sharded
 from repro.faults import FaultSchedule, FaultSpec
 from repro.workloads.trace import WorkloadTrace
@@ -236,6 +236,27 @@ class TestEngineBatchResume:
         assert again.ok
         assert again.metrics.jobs_resumed == 1
         assert_identical(again.results[0], golden.results[0])
+
+    def test_trace_subclass_never_resumes_a_plain_checkpoint(
+            self, tmp_path):
+        """A subclass's behaviour is invisible to the plane digest."""
+        class Halved(WorkloadTrace):
+            def step(self, index):
+                return super().step(index) / 2.0
+
+        plain = make_trace()
+        halved = Halved(plain.utilisation, plain.interval_s,
+                        name=plain.name)
+        kwargs = dict(n_workers=1, shard=False,
+                      checkpoint=tmp_path / "ckpt")
+        first = run_batch([SimulationJob(plain, teg_original())], **kwargs)
+        again = run_batch([SimulationJob(halved, teg_original())],
+                          **kwargs)
+        assert again.ok
+        assert again.metrics.jobs_resumed == 0
+        own = simulate(halved, teg_original())
+        assert own.records != first.results[0].records
+        assert_identical(again.results[0], own)
 
     def test_distinct_jobs_get_distinct_stores(self, tmp_path):
         """Two schemes in one root never collide on a shard directory."""

@@ -310,7 +310,7 @@ class TestPayloadSizeIndependence:
 
 
 # ----------------------------------------------------------------------
-# Streaming pipeline (ISSUE 9): barrier-free merge, autotune, zero-copy
+# Streaming pipeline: barrier-free merge, planned tiling, zero-copy
 # ----------------------------------------------------------------------
 
 import random  # noqa: E402
@@ -320,14 +320,12 @@ import numpy as np  # noqa: E402
 from repro.core.engine import simulate  # noqa: E402
 from repro.core.shard import (  # noqa: E402
     COLUMN_PLANES,
-    SHARD_AUTOTUNE_ENV_VAR,
     ShardColumnRef,
     StreamingMerge,
     _WORKER_COLUMN_BLOCKS,
     _column_block,
     _publish_columns,
     merge_shard_outcomes,
-    resolve_shard_autotune,
 )
 from repro.errors import ResultIntegrityError  # noqa: E402
 
@@ -423,61 +421,20 @@ class TestStreamingMerge:
         assert merge.cache_hits + merge.cache_misses > 0
 
 
-class TestResolveShardAutotune:
-    def test_explicit_wins_over_environment(self, monkeypatch):
-        monkeypatch.setenv(SHARD_AUTOTUNE_ENV_VAR, "on")
-        assert resolve_shard_autotune(False) is False
-        monkeypatch.setenv(SHARD_AUTOTUNE_ENV_VAR, "off")
-        assert resolve_shard_autotune(True) is True
+class TestPlannedTiling:
+    """A sharded engine run executes exactly its planned tiling."""
 
-    def test_environment_words(self, monkeypatch):
-        for word, expected in (("1", True), ("true", True),
-                               ("YES", True), ("on", True),
-                               ("0", False), ("false", False),
-                               ("no", False), ("OFF", False),
-                               ("", False)):
-            monkeypatch.setenv(SHARD_AUTOTUNE_ENV_VAR, word)
-            assert resolve_shard_autotune(None) is expected
-        monkeypatch.delenv(SHARD_AUTOTUNE_ENV_VAR)
-        assert resolve_shard_autotune(None) is False
-
-    def test_garbage_rejected_naming_the_variable(self, monkeypatch):
-        monkeypatch.setenv(SHARD_AUTOTUNE_ENV_VAR, "sometimes")
-        with pytest.raises(ConfigurationError,
-                           match=SHARD_AUTOTUNE_ENV_VAR):
-            resolve_shard_autotune(None)
-
-
-class TestShardAutotune:
-    """Throughput-driven shard coarsening must never change the result."""
-
-    def run_sharded(self, trace, autotune):
-        engine = BatchSimulationEngine(
-            n_workers=2, prefer="thread", shard=True,
-            shard_servers=20, shard_steps=6, shard_autotune=autotune)
-        batch = engine.run([SimulationJob(trace, teg_original())])
+    def test_engine_executes_the_planned_tiling(self):
+        trace = small_trace(n_servers=80, steps=48)
+        planned = len(plan_shards(48, 80,
+                                  teg_original().circulation_size,
+                                  shard_servers=20, shard_steps=6))
+        with BatchSimulationEngine(n_workers=2, prefer="thread",
+                                   shard=True, shard_servers=20,
+                                   shard_steps=6) as engine:
+            batch = engine.run([SimulationJob(trace, teg_original())])
         assert batch.ok
-        return batch.results[0]
-
-    def test_autotuned_run_is_bit_identical(self):
-        trace = small_trace(n_servers=80, steps=48)
-        planned = len(plan_shards(48, 80,
-                                  teg_original().circulation_size,
-                                  shard_servers=20, shard_steps=6))
-        reference = simulate(trace, teg_original())
-        tuned = self.run_sharded(trace, autotune=True)
-        assert tuned.records == reference.records
-        assert tuned.violations == reference.violations
-        # The re-plan may coarsen (fewer shards) but never refine.
-        assert 1 <= tuned.metrics.n_shards <= planned
-
-    def test_autotune_off_executes_the_planned_tiling(self):
-        trace = small_trace(n_servers=80, steps=48)
-        planned = len(plan_shards(48, 80,
-                                  teg_original().circulation_size,
-                                  shard_servers=20, shard_steps=6))
-        fixed = self.run_sharded(trace, autotune=False)
-        assert fixed.metrics.n_shards == planned
+        assert batch.results[0].metrics.n_shards == planned
 
 
 class TestZeroCopyColumns:

@@ -23,10 +23,11 @@ from repro.core.config import (
     teg_loadbalance,
     teg_original,
 )
-from repro.core.engine import simulate
+from repro.core.engine import BatchSimulationEngine, SimulationJob, simulate
 from repro.core.shard import simulate_sharded
 from repro.core.simulator import DatacenterSimulator
 from repro.errors import CoolingFailureError, PhysicalRangeError
+from repro.faults import FaultSchedule, FaultSpec
 from repro.thermal.cpu_model import CoolingSetting
 from repro.workloads.synthetic import common_trace, drastic_trace
 from repro.workloads.trace import WorkloadTrace
@@ -261,3 +262,52 @@ class TestPropertyParity:
                                    shard_steps=shard_steps)
         assert sharded.records == unsharded.records
         assert sharded.violations == unsharded.violations
+
+
+class Halved(WorkloadTrace):
+    """A trace subclass whose overridden ``step()`` no plane view sees."""
+
+    def step(self, index):
+        return super().step(index) / 2.0
+
+
+class TestTraceSubclass:
+    def test_subclass_runs_whole_through_simulate(self):
+        base = drastic_trace(n_servers=80, duration_s=24 * 300.0,
+                             interval_s=300.0, seed=7)
+        halved = Halved(base.utilisation, base.interval_s, name="halved")
+        reference = simulate(halved, teg_original())
+        assert reference.metrics.mode == "loop"
+        sharded = simulate_sharded(halved, teg_original(),
+                                   shard_servers=20, shard_steps=6)
+        assert sharded.metrics.mode == "loop"
+        assert_identical(sharded, reference)
+
+
+class TestEngineParity:
+    """``simulate_sharded`` and the batch engine share one shard loop."""
+
+    SIZES = dict(shard_servers=20, shard_steps=5)
+
+    @pytest.mark.parametrize("faulty", [False, True],
+                             ids=["plain", "faults"])
+    def test_same_records_violations_and_shard_metrics(self, faulty):
+        trace = trailing_trace()
+        faults = (FaultSchedule(specs=(
+            FaultSpec(kind="pump_derate", start_s=1800.0,
+                      duration_s=3000.0, magnitude=0.3),))
+            if faulty else None)
+        direct = simulate_sharded(trace, teg_original(), faults=faults,
+                                  **self.SIZES)
+        with BatchSimulationEngine(prefer="serial", shard=True,
+                                   **self.SIZES) as engine:
+            batch = engine.run([SimulationJob(trace, teg_original(),
+                                              faults=faults)])
+        assert batch.ok
+        via_engine = batch.results[0]
+        assert via_engine.records == direct.records
+        assert via_engine.violations == direct.violations
+        for name in ("mode", "n_shards", "shards_resumed"):
+            assert (getattr(via_engine.metrics, name)
+                    == getattr(direct.metrics, name)), name
+        assert direct.metrics.n_shards > 1

@@ -77,12 +77,6 @@ class TestRunHealth:
         assert state["jobs"]["completed"] == 0
         assert state["runs"] == 2
 
-    def test_add_shards_grows_denominator(self):
-        health = obs.RunHealth()
-        health.begin(shards_total=4)
-        health.add_shards(3)
-        assert health.to_dict()["shards"]["total"] == 7
-
 
 class TestLiveTelemetryServer:
     def test_unbound_routes(self):

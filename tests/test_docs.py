@@ -60,7 +60,7 @@ class TestEngineKnobTable:
         in_table = set(re.findall(r"^\| `(REPRO_[A-Z0-9_]+)`", table,
                                   flags=re.MULTILINE))
         assert in_table == in_source
-        assert len(in_source) == 12
+        assert len(in_source) == 11
 
 
 class TestExperimentsDoc:
