@@ -89,19 +89,24 @@ class LookupSpace:
             self._outlet_temp, bounds_error=True)
 
     def _measure(self) -> tuple[np.ndarray, np.ndarray]:
-        """Run the simulated measurement campaign over the grid."""
+        """Run the simulated measurement campaign over the grid.
+
+        One :class:`CoolingSetting` per ``(flow, inlet)`` grid pair, and
+        one model call per pair over the whole utilisation axis: the
+        model is elementwise in utilisation, so each column equals the
+        per-point scalar calls bit for bit.
+        """
         shape = (len(self.utilisation_grid), len(self.flow_grid),
                  len(self.inlet_grid))
         cpu = np.empty(shape)
         outlet = np.empty(shape)
-        for i, util in enumerate(self.utilisation_grid):
-            for j, flow in enumerate(self.flow_grid):
-                for k, inlet in enumerate(self.inlet_grid):
-                    setting = CoolingSetting(flow_l_per_h=float(flow),
-                                             inlet_temp_c=float(inlet))
-                    cpu[i, j, k] = self.model.cpu_temp_c(float(util), setting)
-                    outlet[i, j, k] = self.model.outlet_temp_c(
-                        float(util), setting)
+        utils = self.utilisation_grid.astype(float)
+        for j, flow in enumerate(self.flow_grid):
+            for k, inlet in enumerate(self.inlet_grid):
+                setting = CoolingSetting(flow_l_per_h=float(flow),
+                                         inlet_temp_c=float(inlet))
+                cpu[:, j, k] = self.model.cpu_temp_c(utils, setting)
+                outlet[:, j, k] = self.model.outlet_temp_c(utils, setting)
         return cpu, outlet
 
     # ------------------------------------------------------------------
@@ -113,6 +118,14 @@ class LookupSpace:
         if not 0.0 <= utilisation <= 1.0:
             raise PhysicalRangeError(
                 f"utilisation must be in [0, 1], got {utilisation}")
+        for axis_name, value, axis in (
+                ("utilisation", utilisation, self.utilisation_grid),
+                ("flow", flow_l_per_h, self.flow_grid),
+                ("inlet", inlet_temp_c, self.inlet_grid)):
+            if not axis[0] <= value <= axis[-1]:
+                raise PhysicalRangeError(
+                    f"{axis_name} {value} is outside the lookup grid "
+                    f"[{axis[0]}, {axis[-1]}]")
         return np.array([[utilisation, flow_l_per_h, inlet_temp_c]])
 
     def cpu_temp_c(self, utilisation: float, flow_l_per_h: float,

@@ -10,12 +10,16 @@ a pure function of the trace, so the kernel:
    quantisation, and calls the policy once per unique key (primed in
    first-occurrence order, so a shared memoising policy sees exactly
    the serial call sequence);
-2. **evaluates** — groups cells by their clamped cooling setting and
-   runs the thermal/TEG model entry points over gathered 1-D batches,
-   scattering results into ``(steps x servers)`` planes;
-3. **reduces** — per-circulation sums/maxima over contiguous column
-   blocks, plus the facility split (chiller fraction, tower, pump) as
-   per-cell array arithmetic with the serial expression order;
+2. **evaluates** — walks the scheduled plane in row chunks sized by
+   :data:`CHUNK_BYTES` (one chunk's temporaries fit in L2).  Each chunk
+   expands its ``setting_id`` rows to servers and runs the thermal/TEG
+   model entry points once per cooling setting present in the chunk;
+3. **reduces** — in the same chunk pass, per-circulation sums/maxima
+   over contiguous column blocks fill the ``(steps x circs)`` columns
+   while the chunk is still in cache.  Only the CPU-temperature plane
+   is kept whole (the error replay and the violation records read it).
+   After the pass, the facility split (chiller fraction, tower, pump)
+   runs as per-cell array arithmetic with the serial expression order;
 4. **folds** — accumulates circulation columns into per-step cluster
    totals in circulation order (sequential adds, like the serial
    ``_aggregate_step``) and emits a columnar result.
@@ -32,9 +36,12 @@ subtotals would not be).
 Bit-identity
 ------------
 Every array expression mirrors the serial arithmetic exactly:
-elementwise model calls are order-independent; per-circulation
-``sum/mean/max(axis=1)`` over a contiguous block is bit-identical to the
-serial 1-D reductions (same pairwise blocking); the cluster fold adds
+elementwise model calls are independent of how cells are batched into
+chunks and settings; a per-circulation sum/mean/max over a contiguous
+block — ``axis=1`` of a ``(rows x size)`` block, or ``axis=2`` of a
+``(rows x circs x size)`` view of equal-size circulations — is
+bit-identical to the serial 1-D reductions (same pairwise blocking,
+one block at a time); the cluster fold adds
 circulation columns sequentially; and capacity / strict-safety errors
 are replayed at the earliest offending cell in serial evaluation order.
 ``tests/core/test_kernel.py`` and the golden fixtures enforce this.
@@ -61,6 +68,16 @@ __all__ = [
     "run_kernel_columns",
     "run_whole_trace",
 ]
+
+#: Byte budget of one evaluate chunk's temporaries.  The chunk's rows
+#: are read by the model calls and again by the circulation reductions;
+#: sized so one chunk stays resident in a ~1 MB L2 cache between them.
+CHUNK_BYTES = 1 << 20
+#: Temporary bytes per chunk cell: the utilisation, CPU-temperature,
+#: CPU-power and TEG-power rows, the setting index and its mask, and
+#: the gathered utilisations and outlets of one setting.
+CHUNK_CELL_BYTES = 57
+
 
 @dataclass
 class KernelTimings:
@@ -131,6 +148,34 @@ class KernelColumns:
     violation_counts: np.ndarray
     violations: list = field(default_factory=list)
     error: KernelError | None = None
+
+
+def chunk_rows(n_servers: int) -> int:
+    """Steps per evaluate chunk: ``CHUNK_BYTES`` of temporaries, >= 1."""
+    return max(1, CHUNK_BYTES // (CHUNK_CELL_BYTES * n_servers))
+
+
+def _circulation_runs(sizes: np.ndarray) -> list[tuple[slice, slice, int]]:
+    """Maximal runs of consecutive equal-size circulations.
+
+    Each run is ``(circulation slice, server slice, size)``.  Viewing a
+    run's server columns as ``(rows, circulations, size)`` makes one
+    ``sum/max(axis=2)`` call reduce every circulation of the run; each
+    circulation's block is still reduced on its own, contiguously, so
+    the result equals the per-circulation ``sum/max(axis=1)`` bit for
+    bit.  The standard partition has at most two runs: the full
+    circulations and a ragged trailing one.
+    """
+    runs = []
+    first = start = 0
+    for index in range(1, len(sizes) + 1):
+        if index < len(sizes) and sizes[index] == sizes[first]:
+            continue
+        size = int(sizes[first])
+        stop = start + (index - first) * size
+        runs.append((slice(first, index), slice(start, stop), size))
+        first, start = index, stop
+    return runs
 
 
 def _scheduled_plane(sim, raw: np.ndarray) -> np.ndarray:
@@ -302,6 +347,65 @@ def _decide_cells(sim, plane: np.ndarray):
     return setting_id, applied_settings
 
 
+def _evaluate_chunks(sim, plane: np.ndarray, setting_id: np.ndarray,
+                     applied_settings: list, sizes: np.ndarray,
+                     timings: KernelTimings):
+    """Phases 2–3 in one pass over row chunks of the scheduled plane.
+
+    Each chunk of :func:`chunk_rows` steps expands its ``setting_id``
+    rows to servers, runs the thermal/TEG model entry points once per
+    setting present in the chunk (the model objects' own methods, so
+    every model mode and subclass goes through here), and reduces the
+    chunk's rows into the per-circulation ``generation_c``, ``heat_c``
+    and ``max_temp_c`` columns while they are still in cache.  Only the
+    CPU-temperature plane is kept whole: the error replay and the
+    violation records read it.  Model time accumulates into
+    ``timings.evaluate_s`` and reduction time into ``timings.reduce_s``.
+
+    Returns ``(cpu_temp_plane, generation_c, heat_c, max_temp_c)``.
+    """
+    cpu_model = sim.cpu_model
+    teg_module = sim.teg_module
+    cold_source_c = sim.config.cold_source_temp_c
+    n_steps, n_servers = plane.shape
+    n_circs = len(sizes)
+    runs = _circulation_runs(sizes)
+    cpu_temp_plane = np.empty((n_steps, n_servers))
+    generation_c = np.empty((n_steps, n_circs))
+    heat_c = np.empty((n_steps, n_circs))
+    max_temp_c = np.empty((n_steps, n_circs))
+    rows = chunk_rows(n_servers)
+    for top in range(0, n_steps, rows):
+        clock = time.perf_counter()
+        chunk = slice(top, top + rows)
+        utils = plane[chunk]
+        cpu_temp = cpu_temp_plane[chunk]
+        teg_power = np.empty(utils.shape)
+        cell_sid = np.repeat(setting_id[chunk], sizes, axis=1)
+        for sid in np.unique(setting_id[chunk]):
+            cells = cell_sid == sid
+            applied = applied_settings[sid]
+            batch = utils[cells]
+            cpu_temp[cells] = cpu_model.cpu_temp_c(batch, applied)
+            outlets = cpu_model.outlet_temp_c(batch, applied)
+            teg_power[cells] = teg_module.generation_w(
+                outlets, cold_source_c, applied.flow_l_per_h)
+        cpu_power = cpu_model.cpu_power_w(utils)
+        split = time.perf_counter()
+        timings.evaluate_s += split - clock
+
+        height = utils.shape[0]
+        for circs, servers, size in runs:
+            generation_c[chunk, circs] = teg_power[:, servers].reshape(
+                height, -1, size).sum(axis=2)
+            heat_c[chunk, circs] = cpu_power[:, servers].reshape(
+                height, -1, size).sum(axis=2)
+            max_temp_c[chunk, circs] = cpu_temp[:, servers].reshape(
+                height, -1, size).max(axis=2)
+        timings.reduce_s += time.perf_counter() - split
+    return cpu_temp_plane, generation_c, heat_c, max_temp_c
+
+
 def _earliest_error(sim, chiller_heat, tower_heat,
                     cpu_temp_plane, interval_s: float) -> KernelError | None:
     """The first error the serial loop would have raised, or ``None``.
@@ -388,9 +492,8 @@ def run_kernel_columns(sim) -> KernelColumns:
     sim.kernel_timings = timings
     trace = sim.trace
     raw = trace.utilisation
-    n_steps, n_servers = raw.shape
+    n_steps = raw.shape[0]
     groups = sim._groups
-    n_circs = len(groups)
     circulations = sim._circulations
     interval_s = trace.interval_s
 
@@ -401,52 +504,16 @@ def run_kernel_columns(sim) -> KernelColumns:
         setting_id, applied_settings = _decide_cells(sim, plane)
     timings.decide_s = time.perf_counter() - clock
 
-    # Phase 2 — evaluate the thermal/TEG models per unique setting.
-    clock = time.perf_counter()
+    # Phases 2–3 — the fused chunk pass: model calls, then circulation
+    # reductions, one cache-sized block of rows at a time.
+    sizes = np.array([group.size for group in groups])
     with obs.span("kernel.evaluate"):
-        cpu_model = sim.cpu_model
-        teg_module = sim.teg_module
-        cold_source_c = sim.config.cold_source_temp_c
-        flat_utils = plane.reshape(-1)
-        cpu_temp = np.empty(flat_utils.size)
-        cpu_power = np.empty(flat_utils.size)
-        teg_power = np.empty(flat_utils.size)
-        for sid, applied in enumerate(applied_settings):
-            mask = setting_id == sid
-            chunks = []
-            for circ in range(n_circs):
-                steps_at = np.nonzero(mask[:, circ])[0]
-                if steps_at.size:
-                    chunks.append((steps_at[:, None] * n_servers
-                                   + groups[circ][None, :]).ravel())
-            if not chunks:
-                continue
-            gathered = (np.concatenate(chunks) if len(chunks) > 1
-                        else chunks[0])
-            batch = flat_utils[gathered]
-            outlets = cpu_model.outlet_temp_c(batch, applied)
-            cpu_temp[gathered] = cpu_model.cpu_temp_c(batch, applied)
-            cpu_power[gathered] = cpu_model.cpu_power_w(batch)
-            teg_power[gathered] = teg_module.generation_w(
-                outlets, cold_source_c, applied.flow_l_per_h)
-        cpu_temp_plane = cpu_temp.reshape(n_steps, n_servers)
-        cpu_power_plane = cpu_power.reshape(n_steps, n_servers)
-        teg_power_plane = teg_power.reshape(n_steps, n_servers)
-    timings.evaluate_s = time.perf_counter() - clock
+        cpu_temp_plane, generation_c, heat_c, max_temp_c = _evaluate_chunks(
+            sim, plane, setting_id, applied_settings, sizes, timings)
 
-    # Phase 3 — per-circulation reductions and facility accounting.
+    # Phase 3, cell-wise — facility accounting, errors and violations.
     clock = time.perf_counter()
     with obs.span("kernel.reduce"):
-        generation_c = np.empty((n_steps, n_circs))
-        heat_c = np.empty((n_steps, n_circs))
-        max_temp_c = np.empty((n_steps, n_circs))
-        for index, group in enumerate(groups):
-            start, stop = int(group[0]), int(group[0]) + group.size
-            generation_c[:, index] = teg_power_plane[:, start:stop].sum(
-                axis=1)
-            heat_c[:, index] = cpu_power_plane[:, start:stop].sum(axis=1)
-            max_temp_c[:, index] = cpu_temp_plane[:, start:stop].max(axis=1)
-
         tower = circulations[0].tower
         wet_bulb_c = circulations[0].wet_bulb_c
         coldest_c = tower.coldest_supply_c(wet_bulb_c)
@@ -470,7 +537,6 @@ def run_kernel_columns(sim) -> KernelColumns:
         # an error wins.
         chiller_power_c = chiller_heat / circulations[0].chiller.cop
         tower_power_c = tower_heat / 1000.0 * tower.fan_power_w_per_kw
-        sizes = np.array([group.size for group in groups])
         pump_power_c = sizes[None, :] * pump_by_sid[setting_id]
         inlet_cell = inlet_by_sid[setting_id]
         flow_cell = flow_by_sid[setting_id]
@@ -480,7 +546,7 @@ def run_kernel_columns(sim) -> KernelColumns:
         violations: list[SafetyViolation] = []
         violation_counts = np.zeros(n_steps, dtype=np.int64)
         if error is None:
-            limit = cpu_model.max_operating_temp_c
+            limit = sim.cpu_model.max_operating_temp_c
             violation_plane = cpu_temp_plane > limit
             violation_counts = violation_plane.sum(axis=1)
             violation_steps, violation_servers = np.nonzero(violation_plane)
@@ -492,7 +558,7 @@ def run_kernel_columns(sim) -> KernelColumns:
                     temperature_c=float(cpu_temp_plane[step, server]),
                 )
                 for step, server in zip(violation_steps, violation_servers)]
-    timings.reduce_s = time.perf_counter() - clock
+    timings.reduce_s += time.perf_counter() - clock
 
     return KernelColumns(
         generation_c=generation_c,

@@ -5,7 +5,28 @@ import pytest
 
 from repro.control.lookup_space import LookupSpace
 from repro.errors import ConfigurationError, PhysicalRangeError
-from repro.thermal.cpu_model import CoolingSetting, CpuThermalModel
+from repro.thermal.cpu_model import (
+    CoolingSetting,
+    CpuThermalModel,
+    OutletDeltaModel,
+)
+
+
+def scalar_measurement(space: LookupSpace) -> tuple[np.ndarray, np.ndarray]:
+    """The measurement campaign one scalar model call per grid point."""
+    shape = (len(space.utilisation_grid), len(space.flow_grid),
+             len(space.inlet_grid))
+    cpu = np.empty(shape)
+    outlet = np.empty(shape)
+    for i, util in enumerate(space.utilisation_grid):
+        for j, flow in enumerate(space.flow_grid):
+            for k, inlet in enumerate(space.inlet_grid):
+                setting = CoolingSetting(flow_l_per_h=float(flow),
+                                         inlet_temp_c=float(inlet))
+                cpu[i, j, k] = space.model.cpu_temp_c(float(util), setting)
+                outlet[i, j, k] = space.model.outlet_temp_c(float(util),
+                                                            setting)
+    return cpu, outlet
 
 
 class TestConstruction:
@@ -46,8 +67,14 @@ class TestInterpolation:
             pytest.approx(cpu_model.outlet_temp_c(0.5, setting))
 
     def test_out_of_bounds_rejected(self, lookup_space):
-        with pytest.raises(ValueError):
+        with pytest.raises(PhysicalRangeError, match="inlet"):
             lookup_space.cpu_temp_c(0.5, 100.0, 90.0)
+        with pytest.raises(PhysicalRangeError, match="inlet"):
+            lookup_space.outlet_temp_c(0.5, 100.0, 70.0)
+        with pytest.raises(PhysicalRangeError, match="flow"):
+            lookup_space.cpu_temp_c(0.5, 10.0, 30.0)
+        with pytest.raises(PhysicalRangeError, match="flow"):
+            lookup_space.outlet_temp_c(0.5, float("nan"), 30.0)
 
     def test_invalid_utilisation_rejected(self, lookup_space):
         with pytest.raises(PhysicalRangeError):
@@ -136,3 +163,45 @@ class TestPlaneBatch:
             lookup_space.plane_temperatures_batch([0.2, 1.2])
         with pytest.raises(ConfigurationError):
             lookup_space.plane_temperatures_batch([[0.2], [0.4]])
+
+
+class TestMeasurement:
+    """The array-pass build equals one scalar model call per grid point."""
+
+    GRIDS = {
+        "default": dict(),
+        "config": dict(flow_grid=np.array([20.0, 100.0, 200.0, 300.0]),
+                       inlet_grid=np.linspace(20.0, 60.0, 36)),
+        "physical-outlet": dict(model=CpuThermalModel(
+            outlet_model=OutletDeltaModel(mode="physical"))),
+        "custom": dict(
+            model=CpuThermalModel(power_scale=1.3,
+                                  extra_resistance_k_per_w=0.02),
+            utilisation_grid=np.array([0.0, 0.05, 0.33, 0.9, 1.0]),
+            flow_grid=np.array([15.0, 37.5, 410.0]),
+            inlet_grid=np.array([-5.0, 12.25, 44.4, 88.0])),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GRIDS))
+    def test_bitwise_equal_to_scalar_loop(self, name):
+        space = LookupSpace(**self.GRIDS[name])
+        cpu, outlet = scalar_measurement(space)
+        assert space._cpu_temp.tobytes() == cpu.tobytes()
+        assert space._outlet_temp.tobytes() == outlet.tobytes()
+
+    def test_config_grid_shape(self):
+        space = LookupSpace(**self.GRIDS["config"])
+        assert space._cpu_temp.shape == (11, 4, 36)
+
+    @pytest.mark.parametrize("grids", [
+        dict(flow_grid=np.array([0.0, 100.0])),
+        dict(flow_grid=np.array([-20.0, 100.0])),
+        dict(inlet_grid=np.array([20.0, np.nan])),
+        dict(inlet_grid=np.array([-15.0, 40.0])),
+        dict(inlet_grid=np.array([40.0, 95.0])),
+        dict(utilisation_grid=np.array([0.0, 0.5, 1.1])),
+    ], ids=["flow-zero", "flow-negative", "inlet-nan", "inlet-cold",
+            "inlet-hot", "utilisation-above-one"])
+    def test_invalid_grid_points_rejected(self, grids):
+        with pytest.raises(PhysicalRangeError):
+            LookupSpace(**grids)

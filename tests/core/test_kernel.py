@@ -18,6 +18,7 @@ from repro.core.config import (
     SimulationConfig,
     teg_loadbalance,
     teg_original,
+    teg_static,
 )
 from repro.core.engine import (
     CoolingDecisionCache,
@@ -25,7 +26,9 @@ from repro.core.engine import (
     resolve_mode,
     simulate,
 )
+from repro.core.kernel import chunk_rows, run_kernel_columns
 from repro.core.results import ColumnarSteps, StepRecord
+from repro.core.shard import simulate_sharded
 from repro.core.simulator import DatacenterSimulator, compare_schemes
 from repro.cooling.cdu import CoolingSetting
 from repro.cooling.loop import WaterCirculation
@@ -35,6 +38,9 @@ from repro.errors import (
     PhysicalRangeError,
 )
 from repro.faults import FaultSchedule, FaultSpec
+from repro.teg.device import TegDevice
+from repro.teg.module import default_server_module
+from repro.thermal.cpu_model import CpuThermalModel, OutletDeltaModel
 from repro.workloads.synthetic import common_trace, drastic_trace
 from repro.workloads.trace import WorkloadTrace
 
@@ -340,3 +346,164 @@ class TestKernelBatchEscapeHatch:
         monkeypatch.setattr(LookupSpacePolicy, "decide_batch", None)
         simulate(trace, teg_original())
         assert scalar_calls  # the scalar loop decides cell by cell
+
+
+class TestNonDefaultModelParity:
+    """Physical model modes and scaled models take the one kernel path."""
+
+    MODELS = {
+        "physical-outlet": dict(cpu_model=CpuThermalModel(
+            outlet_model=OutletDeltaModel(mode="physical"))),
+        "scaled-cpu": dict(cpu_model=CpuThermalModel(
+            power_scale=1.3, extra_resistance_k_per_w=0.02)),
+        "physical-teg": dict(teg_module=default_server_module(
+            TegDevice(mode="physical"))),
+    }
+
+    @pytest.mark.parametrize("config",
+                             [teg_original(), teg_loadbalance(),
+                              teg_static()], ids=lambda c: c.name)
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_simulate_matches_serial(self, config, name):
+        models = self.MODELS[name]
+        trace = trailing_trace()
+        serial = DatacenterSimulator(trace, config, **models).run()
+        fast = simulate(trace, config, **models)
+        assert fast.metrics.mode == "kernel"
+        assert fast.records == serial.records
+        assert fast.violations == serial.violations
+
+
+#: 1,007 servers in circulations of 20: 50 full ones and a ragged 7.
+CHUNKED_SERVERS = 1007
+#: Evaluate-chunk height at that width.
+CHUNK = chunk_rows(CHUNKED_SERVERS)
+
+
+def chunked_trace(n_chunks: float = 3.5) -> WorkloadTrace:
+    """A drastic trace several evaluate chunks tall, ending mid-chunk."""
+    return drastic_trace(n_servers=CHUNKED_SERVERS,
+                         duration_s=int(CHUNK * n_chunks) * 300.0,
+                         interval_s=300.0, seed=5)
+
+
+def late_hot_trace(servers: slice) -> WorkloadTrace:
+    """Idle-ish plane with one hot step in the third chunk."""
+    utilisation = np.full((int(CHUNK * 3.5), CHUNKED_SERVERS), 0.1)
+    utilisation[2 * CHUNK + 5, servers] = 1.0
+    return WorkloadTrace(utilisation, 300.0, name="late-hot")
+
+
+def error_signature(exc: Exception) -> tuple:
+    return (type(exc), str(exc), getattr(exc, "step_index", None),
+            getattr(exc, "server_id", None),
+            getattr(exc, "temperature_c", None))
+
+
+class TestChunkBoundaries:
+    """The chunk pass against the serial oracle where chunks meet."""
+
+    def test_trace_spans_several_chunks(self):
+        assert 1 < CHUNK < chunked_trace().n_steps // 3
+        assert chunked_trace().n_steps % CHUNK
+
+    @pytest.mark.parametrize("config", [teg_original(), teg_loadbalance()],
+                             ids=lambda c: c.name)
+    def test_ragged_circulation_across_chunks(self, config):
+        trace = chunked_trace()
+        serial_sim = DatacenterSimulator(trace, config)
+        assert serial_sim._groups[-1].size == CHUNKED_SERVERS % 20
+        serial = serial_sim.run()
+        fast = simulate(trace, config)
+        assert fast.metrics.mode == "kernel"
+        assert fast.records == serial.records
+        assert fast.violations == serial.violations
+
+    def test_circulations_past_the_pairwise_block(self):
+        # NumPy's pairwise sum recurses above 128 elements: circulations
+        # of 150 (and a ragged 107) reduce like the serial 1-D sums.
+        config = replace(teg_original(), circulation_size=150)
+        trace = chunked_trace()
+        serial = DatacenterSimulator(trace, config).run()
+        fast = simulate(trace, config)
+        assert fast.records == serial.records
+        assert fast.violations == serial.violations
+
+    def test_setting_changes_straddle_chunk_edges(self):
+        trace = chunked_trace()
+        config = teg_original()
+        columns = run_kernel_columns(_CachedVectorisedSimulator(
+            trace, config, cache=CoolingDecisionCache()))
+        settings = columns.inlet_cell * 1000.0 + columns.flow_cell
+        edges = range(CHUNK, trace.n_steps, CHUNK)
+        # The scenario must change settings across an edge and mix
+        # several settings inside one chunk.
+        assert any(np.any(settings[edge - 1] != settings[edge])
+                   for edge in edges)
+        assert len(np.unique(settings[:CHUNK])) > 1
+        serial = DatacenterSimulator(trace, config).run()
+        fast = simulate(trace, config)
+        assert fast.records == serial.records
+        assert fast.violations == serial.violations
+
+    def test_late_strict_safety_violation(self):
+        trace = late_hot_trace(slice(333, 334))
+        hot = SimulationConfig(
+            name="hot", scheduler="none", policy="static",
+            static_setting=CoolingSetting(flow_l_per_h=30.0,
+                                          inlet_temp_c=55.0))
+        serial = DatacenterSimulator(trace, hot).run()
+        fast = simulate(trace, hot)
+        assert [v.step_index for v in serial.violations] == [2 * CHUNK + 5]
+        assert fast.violations == serial.violations
+        assert fast.records == serial.records
+
+        strict = replace(hot, strict_safety=True)
+        errors = []
+        for run in (DatacenterSimulator(trace, strict).run,
+                    lambda: simulate(trace, strict)):
+            with pytest.raises(CoolingFailureError) as excinfo:
+                run()
+            errors.append(error_signature(excinfo.value))
+        assert errors[0] == errors[1]
+        assert errors[0][2:4] == (2 * CHUNK + 5, 333)
+
+    @pytest.mark.parametrize("plant", ["chiller", "tower"])
+    def test_late_capacity_breach(self, plant):
+        trace = late_hot_trace(slice(40, 60))
+        inlet_c = 20.0 if plant == "chiller" else 45.0
+        config = SimulationConfig(
+            name="static", scheduler="none", policy="static",
+            static_setting=CoolingSetting(flow_l_per_h=50.0,
+                                          inlet_temp_c=inlet_c))
+        errors = []
+        for sim in (DatacenterSimulator(trace, config),
+                    _CachedVectorisedSimulator(
+                        trace, config, cache=CoolingDecisionCache())):
+            for circulation in sim._circulations:
+                if plant == "chiller":
+                    circulation.chiller = replace(circulation.chiller,
+                                                  capacity_kw=0.1)
+                else:
+                    circulation.tower = replace(circulation.tower,
+                                                max_heat_kw=1.0)
+            with pytest.raises(PhysicalRangeError) as excinfo:
+                sim.run()
+            errors.append(error_signature(excinfo.value))
+        assert errors[0] == errors[1]
+        assert plant in errors[0][1]
+
+    def test_sharded_tiles_end_mid_chunk(self):
+        trace = chunked_trace()
+        config = teg_original()
+        # Tiles 1,000 and 7 servers wide (whole circulations), each
+        # time window two chunks and a few rows of the wide tile tall.
+        shard_steps = 2 * chunk_rows(1000) + 4
+        serial = DatacenterSimulator(trace, config).run()
+        sharded = simulate_sharded(trace, config,
+                                   shard_servers=CHUNKED_SERVERS,
+                                   shard_steps=shard_steps,
+                                   result_cache=False)
+        assert sharded.metrics.n_shards == 4
+        assert sharded.records == serial.records
+        assert sharded.violations == serial.violations
