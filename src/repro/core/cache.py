@@ -70,11 +70,9 @@ keep the hard bit-identity guarantee.
 from __future__ import annotations
 
 import io
-import itertools
 import json
 import os
 import pickle
-import threading
 from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable
@@ -84,8 +82,8 @@ import numpy as np
 from .. import obs
 from ..errors import CacheError, ConfigurationError
 from ..workloads.trace import WorkloadTrace
-from .checkpoint import (RunKey, _fsync_directory, fingerprint, run_key,
-                         trace_digest)
+from .checkpoint import (RunKey, _atomic_write, _pid_alive, fingerprint,
+                         run_key, trace_digest)
 from .results import (STEP_COLUMNS, STEP_FLOAT_COLUMNS, STEP_INT_COLUMNS,
                       ColumnarSteps, SafetyViolation, SimulationResult,
                       StepRecord)
@@ -311,29 +309,6 @@ class _EntryMismatch(Exception):
     """A structurally valid entry that belongs to a different key."""
 
 
-_WRITE_COUNTER = itertools.count()
-
-
-def _atomic_write(path: Path, data: bytes) -> None:
-    """Crash- *and* thread-safe write-then-rename.
-
-    Same durability contract as :func:`repro.core.checkpoint.
-    _atomic_write`, but the temp name embeds the thread id and a
-    process-wide counter: a cache directory is shared between engine
-    threads (e.g. two thread-pool workers finishing jobs with the same
-    warm key), and pid-only temp names would let their writes collide.
-    """
-    tmp = path.with_name(
-        f"{path.name}.tmp-{os.getpid()}-{threading.get_ident()}"
-        f"-{next(_WRITE_COUNTER)}")
-    with open(tmp, "wb") as handle:
-        handle.write(data)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-    _fsync_directory(path.parent)
-
-
 def _sweep_stale_temp_files(directory: Path) -> None:
     """Remove ``.tmp-*`` leftovers of *crashed* writers (best effort).
 
@@ -350,17 +325,8 @@ def _sweep_stale_temp_files(directory: Path) -> None:
             pid = int(pid_word)
         except ValueError:
             pid = None
-        if pid is not None:
-            if pid == os.getpid():
-                continue
-            try:
-                os.kill(pid, 0)
-            except ProcessLookupError:
-                pass  # writer is gone: a genuine crash leftover
-            except OSError:  # pragma: no cover - e.g. EPERM: alive
-                continue
-            else:
-                continue  # writer still running
+        if pid is not None and (pid == os.getpid() or _pid_alive(pid)):
+            continue
         try:
             leftover.unlink()
         except OSError:  # pragma: no cover - concurrent cleanup

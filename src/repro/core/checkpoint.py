@@ -48,9 +48,11 @@ even the merged cache counters match the uninterrupted run.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import pickle
+import threading
 from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable
@@ -232,21 +234,39 @@ def _fsync_directory(directory: Path) -> None:
         os.close(fd)
 
 
+_WRITE_COUNTER = itertools.count()
+
+
 def _atomic_write(path: Path, data: bytes) -> None:
     """Write ``data`` so ``path`` is either complete or absent.
 
     Temp file in the same directory (rename must not cross
     filesystems), fsync'd before the rename and the directory fsync'd
     after, so the entry survives a machine crash, not just a process
-    one.
+    one.  The temp name embeds the pid, the thread id and a
+    process-wide counter: a result cache is shared between engine
+    threads, and pid-only names would let their writes collide.
     """
-    tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
+    tmp = path.with_name(
+        f"{path.name}.tmp-{os.getpid()}-{threading.get_ident()}"
+        f"-{next(_WRITE_COUNTER)}")
     with open(tmp, "wb") as handle:
         handle.write(data)
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, path)
     _fsync_directory(path.parent)
+
+
+def _pid_alive(pid: int) -> bool:
+    """Whether ``pid`` exists (signal-0 probe; EPERM counts as alive)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except OSError:  # pragma: no cover - EPERM: another user's process
+        return True
+    return True
 
 
 def _sweep_temp_files(directory: Path) -> None:

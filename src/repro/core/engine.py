@@ -5,10 +5,11 @@ re-runs :class:`~repro.core.simulator.DatacenterSimulator` once per
 scheme per trace.  This module turns that hot path into a batch API:
 
 * :class:`SimulationJob` names one (trace, config) pair to evaluate;
-* :class:`BatchSimulationEngine` fans a list of jobs out over a process
-  pool (``concurrent.futures``), degrading gracefully to threads or a
-  serial loop when processes are unavailable, with a ``REPRO_WORKERS``
-  environment override;
+* :class:`BatchSimulationEngine` runs a list of jobs — whole, or split
+  into shard tiles — as units of one dispatch loop over a process pool
+  (``concurrent.futures``), degrading gracefully to threads or an
+  in-process executor when processes are unavailable, with a
+  ``REPRO_WORKERS`` environment override;
 * inside each job the whole-trace kernel (:mod:`repro.core.kernel`)
   replaces the per-step Python loop unless the job's inputs need the
   serial loop (see :func:`resolve_mode`), and cooling decisions are
@@ -39,6 +40,7 @@ enforce this equivalence.
 from __future__ import annotations
 
 import atexit
+import itertools
 import os
 import pickle
 import signal
@@ -48,6 +50,7 @@ import weakref
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
+    Executor,
     Future,
     ThreadPoolExecutor,
     wait,
@@ -62,12 +65,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .. import obs
-from ..errors import ConfigurationError, JobExecutionError
+from ..errors import (ConfigurationError, JobExecutionError,
+                      ShardExecutionError)
 from ..faults import FaultSchedule
 from ..teg.module import TegModule
 from ..thermal.cpu_model import CpuThermalModel
 from ..workloads.trace import WorkloadTrace
 from .cache import ResultCache, resolve_result_cache, result_key, warm_keys
+from .checkpoint import _pid_alive
 from .config import SimulationConfig
 from .kernel import KernelTimings, run_whole_trace
 from .results import SimulationResult
@@ -667,27 +672,6 @@ def _warm_save(store: ResultCache, simulator, trace, config,
     store.store_warm(w1, w2, entries)
 
 
-def _execute_job(job: SimulationJob, cache_resolution: float,
-                 telemetry: bool = False,
-                 cache_dir=None) -> SimulationResult:
-    """Worker entry point (module-level so process pools can pickle it).
-
-    ``telemetry`` and ``cache_dir`` are resolved once by the batch
-    layer and passed explicitly so all executors behave identically
-    regardless of how environment variables propagate to workers
-    (``cache_dir=None`` means caching stays off even if the worker's
-    environment would enable it).  In-process executors pass the
-    engine's shared :class:`~repro.core.cache.ResultCache` instance
-    rather than a directory string, so all threads write through one
-    store.
-    """
-    return simulate(job.trace, job.config, job.cpu_model, job.teg_module,
-                    cache_resolution=cache_resolution,
-                    faults=job.faults,
-                    telemetry=telemetry,
-                    result_cache=cache_dir if cache_dir else False)
-
-
 # ----------------------------------------------------------------------
 # Zero-copy trace dispatch (process pools)
 # ----------------------------------------------------------------------
@@ -779,19 +763,6 @@ def _install_segment_janitor() -> None:
         signal.signal(signal.SIGTERM, _on_sigterm)
     except (ValueError, OSError):  # pragma: no cover - non-main thread
         pass
-
-
-def _pid_alive(pid: int) -> bool:
-    """Whether ``pid`` exists (signal-0 probe; EPERM counts as alive)."""
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:  # pragma: no cover - other-user process
-        return True
-    except OSError:  # pragma: no cover - exotic platform
-        return True
-    return True
 
 
 def reap_orphaned_segments(directory: str | os.PathLike = "/dev/shm"
@@ -896,14 +867,7 @@ class _SharedTraceRegistry:
         except BaseException:
             # The upload died between create and registration: unlink
             # now or nobody ever will.
-            try:
-                block.close()
-            except OSError:  # pragma: no cover - already unmapped
-                pass
-            try:
-                block.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
+            self._release(block, unlink=True)
             raise
         return ref
 
@@ -929,16 +893,7 @@ class _SharedTraceRegistry:
         the segment cannot outlive the process either way.
         """
         self._scratch.pop(block.name, None)
-        try:
-            block.close()
-        except (OSError, BufferError):  # pragma: no cover - live views
-            pass
-        if os.getpid() != self.owner_pid:
-            return
-        try:
-            block.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
+        self._release(block, unlink=os.getpid() == self.owner_pid)
 
     def close(self) -> None:
         """Unmap and unlink every owned segment (idempotent).
@@ -949,25 +904,18 @@ class _SharedTraceRegistry:
         """
         unlink = os.getpid() == self.owner_pid
         while self._scratch:
-            _, block = self._scratch.popitem()
-            try:
-                block.close()
-            except (OSError, BufferError):  # pragma: no cover - live views
-                pass
-            if not unlink:
-                continue
-            try:
-                block.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
+            self._release(self._scratch.popitem()[1], unlink)
         while self._entries:
-            _, (_, block, _) = self._entries.popitem()
-            try:
-                block.close()
-            except OSError:  # pragma: no cover - already unmapped
-                pass
-            if not unlink:
-                continue
+            self._release(self._entries.popitem()[1][1], unlink)
+
+    @staticmethod
+    def _release(block: shared_memory.SharedMemory, unlink: bool) -> None:
+        """Unmap ``block`` and, when ``unlink``, remove it (best effort)."""
+        try:
+            block.close()
+        except (OSError, BufferError):  # pragma: no cover - live views
+            pass
+        if unlink:
             try:
                 block.unlink()
             except FileNotFoundError:  # pragma: no cover - already gone
@@ -1011,15 +959,15 @@ def _trace_from_ref(ref: SharedTraceRef) -> WorkloadTrace:
 
 @dataclass(frozen=True)
 class _JobPayload:
-    """What a process-pool job actually pickles: config + trace handle.
+    """What a whole job's unit hands its worker: config + trace (handle).
 
     Everything except the trace rides along as-is (configs and hardware
-    models are tiny); the trace plane itself is referenced by a
-    :class:`SharedTraceRef`, so payload size is independent of trace
-    length — the property the zero-copy dispatch tests pin down.
-    ``WorkloadTrace`` *subclasses* can carry behaviour (an overridden
-    ``step``, say) that a rebuilt plain trace would lose, so those are
-    pickled whole via ``trace`` instead of going through shared memory.
+    models are tiny).  For a process worker the trace plane is
+    referenced by a :class:`SharedTraceRef`, so payload size is
+    independent of trace length — the property the zero-copy dispatch
+    tests pin down.  In-process workers, and ``WorkloadTrace``
+    *subclasses* (an overridden ``step``, say, which a rebuilt plain
+    trace would lose), get the trace object itself via ``trace``.
     """
 
     trace_ref: SharedTraceRef | None
@@ -1032,13 +980,16 @@ class _JobPayload:
     #: Resolved by the engine before dispatch so worker processes need
     #: no environment propagation to agree on whether to record.
     telemetry: bool = False
-    #: Result-cache directory, resolved by the engine before dispatch
-    #: (``None`` keeps caching off in the worker whatever its env says).
-    cache_dir: str | None = None
+    #: Result cache resolved by the engine before dispatch (``None``
+    #: keeps caching off in the worker whatever its env says): its
+    #: directory for process workers, the engine's shared
+    #: :class:`~repro.core.cache.ResultCache` for in-process ones, so
+    #: all threads write through one store.
+    cache: "ResultCache | str | None" = None
 
 
 def _execute_payload(payload: _JobPayload) -> SimulationResult:
-    """Process-worker entry point for shared-memory dispatched jobs."""
+    """Worker entry point of a whole job (module-level: picklable)."""
     if payload.trace is not None:
         trace = payload.trace
     else:
@@ -1048,7 +999,7 @@ def _execute_payload(payload: _JobPayload) -> SimulationResult:
                     cache_resolution=payload.cache_resolution,
                     faults=payload.faults,
                     telemetry=payload.telemetry,
-                    result_cache=(payload.cache_dir if payload.cache_dir
+                    result_cache=(payload.cache if payload.cache is not None
                                   else False))
 
 
@@ -1185,6 +1136,28 @@ def resolve_workers(n_workers: int | None, n_jobs: int) -> int:
     return max(1, min(n_workers, max(n_jobs, 1)))
 
 
+def _resolve_seconds(value: float | None, env_var: str,
+                     label: str) -> float | None:
+    """A positive duration: explicit > ``env_var`` > ``None`` (unset)."""
+    if value is None:
+        env = os.environ.get(env_var)
+        if env is None:
+            return None
+        try:
+            value = float(env)
+        except ValueError:
+            raise ConfigurationError(
+                f"{env_var} must be a number of seconds, "
+                f"got {env!r}") from None
+        if value <= 0:
+            raise ConfigurationError(f"{env_var} must be > 0, got {env!r}")
+        return value
+    if value <= 0:
+        raise ConfigurationError(
+            f"{label} must be > 0 seconds, got {value}")
+    return value
+
+
 def resolve_job_timeout(timeout_s: float | None = None) -> float | None:
     """Per-job wall-clock budget: explicit > ``REPRO_JOB_TIMEOUT`` > none.
 
@@ -1197,24 +1170,7 @@ def resolve_job_timeout(timeout_s: float | None = None) -> float | None:
         non-positive value (an explicit non-positive argument raises
         too).
     """
-    if timeout_s is None:
-        env = os.environ.get(JOB_TIMEOUT_ENV_VAR)
-        if env is None:
-            return None
-        try:
-            timeout_s = float(env)
-        except ValueError:
-            raise ConfigurationError(
-                f"{JOB_TIMEOUT_ENV_VAR} must be a number of seconds, "
-                f"got {env!r}") from None
-        if timeout_s <= 0:
-            raise ConfigurationError(
-                f"{JOB_TIMEOUT_ENV_VAR} must be > 0, got {env!r}")
-        return timeout_s
-    if timeout_s <= 0:
-        raise ConfigurationError(
-            f"job timeout must be > 0 seconds, got {timeout_s}")
-    return timeout_s
+    return _resolve_seconds(timeout_s, JOB_TIMEOUT_ENV_VAR, "job timeout")
 
 
 def resolve_shard_straggler(deadline_s: float | None = None
@@ -1229,68 +1185,361 @@ def resolve_shard_straggler(deadline_s: float | None = None
         When ``REPRO_SHARD_STRAGGLER`` (or an explicit argument) is
         non-numeric or non-positive.
     """
-    if deadline_s is None:
-        env = os.environ.get(SHARD_STRAGGLER_ENV_VAR)
-        if env is None:
-            return None
+    return _resolve_seconds(deadline_s, SHARD_STRAGGLER_ENV_VAR,
+                            "shard straggler deadline")
+
+
+class _InlineExecutor(Executor):
+    """Runs each unit in this thread the moment it is submitted.
+
+    The serial executor of the dispatch loop: it cannot pre-empt a
+    unit, so the wall-clock budget and straggler re-dispatch never
+    fire on it.
+    """
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future = Future()
+        future.set_running_or_notify_cancel()
         try:
-            deadline_s = float(env)
-        except ValueError:
-            raise ConfigurationError(
-                f"{SHARD_STRAGGLER_ENV_VAR} must be a number of "
-                f"seconds, got {env!r}") from None
-        if deadline_s <= 0:
-            raise ConfigurationError(
-                f"{SHARD_STRAGGLER_ENV_VAR} must be > 0, got {env!r}")
-        return deadline_s
-    if deadline_s <= 0:
-        raise ConfigurationError(
-            f"shard straggler deadline must be > 0 seconds, "
-            f"got {deadline_s}")
-    return deadline_s
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
 
 
-@dataclass
+def _kill_executor(executor, kind: str) -> None:
+    """Tear a pool down without waiting on hung workers.
+
+    Process workers are terminated outright (a hung worker would
+    otherwise block shutdown and interpreter exit).  Thread workers
+    cannot be killed in CPython; the pool is abandoned and a truly hung
+    thread may delay interpreter exit — documented in
+    ``docs/engine.md``.
+    """
+    # Snapshot the worker processes *before* shutdown: the executor
+    # clears its ``_processes`` map on shutdown even with ``wait=False``,
+    # which would leave a hung worker unkillable.
+    processes = []
+    if kind == "process":
+        processes = list((getattr(executor, "_processes", None)
+                          or {}).values())
+    executor.shutdown(wait=False, cancel_futures=True)
+    for process in processes:
+        if process.is_alive():
+            process.terminate()
+    for process in processes:
+        process.join(timeout=1.0)
+        if process.is_alive():
+            process.kill()
+
+
+@dataclass(eq=False)
 class _JobState:
-    """Book-keeping for one job while the batch executes it."""
+    """One job of a batch while the dispatch loop runs it.
+
+    A whole job is one unit whose ``task`` runs :func:`simulate` in a
+    worker.  A sharded job's ``driver`` (a
+    :class:`~repro.core.shard.ShardDriver`) turns it into one unit per
+    tile still to compute and folds each tile as it lands; the job
+    finishes when the last one has.
+    """
 
     index: int
     job: SimulationJob
-    attempts: int = 0
+    health: obs.RunHealth
+    #: ``(function, *args)`` of a whole job's unit.
+    task: tuple = ()
+    #: Whole-job checkpoint store: the result is saved as it lands.
+    store: object = None
+    driver: object = None
     retries: int = 0
-    started_at: float | None = None
-    #: When the current attempt's future was first observed running
-    #: (``None`` while queued); the timeout clock starts here so time
-    #: spent waiting for a worker is never billed against the job.
-    running_since: float | None = None
+    started_at: float = field(default_factory=time.perf_counter)
+    pending: int = 0
+    result: SimulationResult | None = None
+    #: The terminal exception, kept for callers that re-raise it.
+    error: BaseException | None = None
+    failure: FailedJob | None = None
 
-    def failed(self, exc: BaseException) -> FailedJob:
-        """Package the terminal exception as a :class:`FailedJob`."""
-        elapsed = (0.0 if self.started_at is None
-                   else time.perf_counter() - self.started_at)
-        return FailedJob(
-            scheme=self.job.config.name,
-            trace_name=self.job.trace.name,
-            error_type=type(exc).__name__,
-            message=str(exc),
-            attempts=self.attempts,
-            elapsed_s=elapsed,
-        )
+    @property
+    def labels(self) -> dict:
+        return {"scheme": self.job.config.name, "trace": self.job.trace.name}
 
-    def timed_out(self, timeout_s: float) -> FailedJob:
-        """Package a wall-clock timeout as a :class:`FailedJob`."""
-        elapsed = (0.0 if self.started_at is None
-                   else time.perf_counter() - self.started_at)
-        return FailedJob(
-            scheme=self.job.config.name,
-            trace_name=self.job.trace.name,
-            error_type="TimeoutError",
-            message=(f"job exceeded the {timeout_s:g}s wall-clock budget "
-                     f"({JOB_TIMEOUT_ENV_VAR})"),
-            attempts=self.attempts,
-            elapsed_s=elapsed,
-            timed_out=True,
-        )
+    @property
+    def finished(self) -> bool:
+        return self.result is not None or self.failure is not None
+
+    def units(self) -> list["_Unit"]:
+        """The job's units; a sharded job resumes and primes here."""
+        if self.driver is None:
+            return [_Unit(self, None, self.task)]
+        try:
+            specs = self.driver.begin()
+        except Exception as exc:
+            self.fail(exc, attempts=1)
+            return []
+        self.pending = len(specs)
+        if not specs:
+            self._finish()
+        return [_Unit(self, spec, self.driver.task(spec)) for spec in specs]
+
+    def land(self, unit: "_Unit", value) -> None:
+        """Fold one unit's value; a save error propagates."""
+        if self.driver is None:
+            if self.store is not None:
+                self.store.save_result(value)
+            self._succeed(value)
+            return
+        self.driver.land(value)
+        self.pending -= 1
+        if not self.pending:
+            self._finish()
+
+    def _finish(self) -> None:
+        try:
+            result = self.driver.finish()
+        except Exception as exc:  # the run's own error, raised by the merge
+            self.fail(exc, attempts=1)
+        else:
+            self._succeed(result)
+
+    def _succeed(self, result: SimulationResult) -> None:
+        if result.metrics is not None:
+            result.metrics.retries = self.retries
+        self.result = result
+        self.health.job_done()
+
+    def fail(self, exc: BaseException, attempts: int,
+             timed_out: bool = False) -> None:
+        """Fail the job with ``exc`` after ``attempts`` of its unit."""
+        self.error = exc
+        self.failure = FailedJob(
+            scheme=self.job.config.name, trace_name=self.job.trace.name,
+            error_type=type(exc).__name__, message=str(exc),
+            attempts=attempts,
+            elapsed_s=time.perf_counter() - self.started_at,
+            timed_out=timed_out)
+        self.health.job_done(failed=True)
+        obs.emit("job.timeout" if timed_out else "job.failed",
+                 **self.labels, attempt=attempts,
+                 error_type=type(exc).__name__, error=str(exc))
+        if self.driver is not None:
+            self.driver.close()
+
+
+@dataclass(eq=False)
+class _Unit:
+    """One thing the dispatch loop submits: a whole job or a kernel tile."""
+
+    state: _JobState
+    #: The tile's :class:`~repro.core.shard.ShardSpec`; ``None`` for a
+    #: whole job.
+    spec: object
+    task: tuple
+    attempts: int = 0
+    speculated: bool = False
+
+
+@dataclass
+class _UnitLoop:
+    """The one dispatch loop of whole jobs and shard tiles.
+
+    Every unit follows the same rules:
+
+    * **retry** — up to ``1 + max_retries`` attempts, sleeping
+      ``backoff_s * 2**(attempt-1)`` in between (:meth:`retry`);
+    * **timeout** — a pool unit running ``timeout_s`` is terminal and
+      fails its job; the job's other tiles are cancelled;
+    * **straggler** — a tile running ``straggler_s`` gets one
+      speculative copy, first to land wins (tiles are deterministic; a
+      whole job may be a trace subclass with side effects, so it gets
+      none);
+    * **isolation** — when the shared pool breaks or a timeout tears it
+      down, every unfinished unit re-runs in its own single-worker
+      pool, so a crash or hang lands on exactly the unit that caused
+      it.
+
+    ``kind`` is the executor kind: ``"process"``, ``"thread"`` or
+    ``"serial"`` (an :class:`_InlineExecutor`, which runs one unit at a
+    time, so results land — and are checkpointed — one by one).
+    """
+
+    kind: str
+    max_retries: int = 0
+    backoff_s: float = 0.0
+    timeout_s: float | None = None
+    straggler_s: float | None = None
+    retries: int = 0
+    timeouts: int = 0
+
+    def run(self, states: Sequence[_JobState], executor,
+            discard=None) -> None:
+        """Run every state's units on ``executor`` until all finish.
+
+        ``discard()`` drops the shared pool once it can no longer be
+        trusted; the unfinished units then run in isolation.
+        """
+        units = itertools.chain.from_iterable(
+            state.units() for state in states)
+        leftovers = self._drain(units, executor, shared=True)
+        if leftovers:
+            discard()
+        for unit in leftovers:
+            self._drain(iter([unit]), self._fresh_pool(), shared=False)
+
+    def _fresh_pool(self):
+        if self.kind == "process":
+            from concurrent.futures import ProcessPoolExecutor
+
+            return ProcessPoolExecutor(max_workers=1)
+        return ThreadPoolExecutor(max_workers=1)
+
+    def retry(self, state: _JobState, attempt: int, exc: BaseException,
+              spec=None) -> bool:
+        """Record failed attempt ``attempt``; True when another follows.
+
+        Emits ``job.retry`` or ``shard.retry`` (tiles and fault windows
+        pass their ``spec``; an exhausted one also emits
+        ``shard.failed``) and sleeps the backoff before a retry.
+        """
+        retrying = attempt <= self.max_retries
+        data = {**state.labels, "attempt": attempt,
+                "error_type": type(exc).__name__, "error": str(exc)}
+        if spec is not None:
+            if isinstance(exc, ShardExecutionError):
+                exc.attempt = attempt
+                data.update(exc.context())
+            else:
+                data.update(shard_index=spec.index,
+                            step_start=spec.step_start,
+                            step_stop=spec.step_stop,
+                            server_start=spec.server_start,
+                            server_stop=spec.server_stop, worker_pid=None)
+        if not retrying:
+            if spec is not None:
+                obs.emit("shard.failed", **data)
+            return False
+        self.retries += 1
+        state.retries += 1
+        obs.emit("job.retry" if spec is None else "shard.retry", **data)
+        if spec is not None:
+            obs.add("engine.shards.retried", 1)
+        if self.backoff_s > 0:
+            time.sleep(self.backoff_s * 2 ** (attempt - 1))
+        return True
+
+    def _drain(self, units, executor, shared: bool) -> list[_Unit]:
+        """Run ``units`` on ``executor`` until none is left in flight.
+
+        On the shared pool a break or a timeout returns every
+        unfinished unit for isolated re-runs, and the attempt a pool
+        break interrupted is not charged.  On a private single-unit
+        pool (``shared=False``) a break is the unit's own failure: the
+        pool is replaced and the unit retried; the pool is killed on
+        the way out.
+        """
+        futures: dict[Future, _Unit] = {}
+        since: dict[Future, float] = {}
+        again: list[_Unit] = []  # retries and speculative copies
+        window = 1 if self.kind == "serial" else None
+        poll = (_POLL_INTERVAL_S if self.timeout_s is not None
+                or self.straggler_s is not None else None)
+
+        def leftovers(*extra: _Unit) -> list[_Unit]:
+            rest = dict.fromkeys([*extra, *futures.values(), *again, *units])
+            return [unit for unit in rest if not unit.state.finished]
+
+        def drop(match) -> None:
+            for future, unit in list(futures.items()):
+                if match(unit):
+                    future.cancel()
+                    del futures[future]
+
+        try:
+            while True:
+                while window is None or len(futures) < window:
+                    unit = again.pop(0) if again else next(units, None)
+                    if unit is None:
+                        break
+                    if unit.state.finished:
+                        continue
+                    try:
+                        futures[executor.submit(*unit.task)] = unit
+                    except BrokenExecutor:
+                        if shared:
+                            return leftovers(unit)
+                        raise
+                if not futures:
+                    return []
+                completed, _ = wait(futures, timeout=poll,
+                                    return_when=FIRST_COMPLETED)
+                for future in completed:
+                    unit = futures.pop(future, None)
+                    if unit is None or future.cancelled():
+                        continue  # a twin landed, or the job failed
+                    unit.attempts += 1
+                    try:
+                        value = future.result()
+                    except BrokenExecutor as exc:
+                        if shared:
+                            unit.attempts -= 1
+                            return leftovers(unit)
+                        _kill_executor(executor, self.kind)
+                        executor = self._fresh_pool()
+                        error = exc
+                    except Exception as exc:
+                        error = exc
+                    else:
+                        if unit.speculated:
+                            drop(lambda other: other is unit)
+                        unit.state.land(unit, value)
+                        continue
+                    if self.retry(unit.state, unit.attempts, error,
+                                  unit.spec):
+                        again.append(unit)
+                    else:
+                        unit.state.fail(error, unit.attempts)
+                        drop(lambda other: other.state is unit.state)
+                if poll is None:
+                    continue
+                now = time.perf_counter()
+                for future, unit in list(futures.items()):
+                    if future not in since:
+                        if future.running():
+                            since[future] = now
+                        continue
+                    running = now - since[future]
+                    if (self.timeout_s is not None
+                            and running >= self.timeout_s):
+                        del futures[future]
+                        unit.attempts += 1
+                        self.timeouts += 1
+                        what = ("job" if unit.spec is None
+                                else f"shard {unit.spec.index}")
+                        unit.state.fail(TimeoutError(
+                            f"{what} exceeded the {self.timeout_s:g}s "
+                            f"wall-clock budget ({JOB_TIMEOUT_ENV_VAR})"),
+                            unit.attempts, timed_out=True)
+                        drop(lambda other: other.state is unit.state)
+                        return leftovers() if shared else []
+                    if (shared and unit.spec is not None
+                            and self.straggler_s is not None
+                            and not unit.speculated
+                            and running >= self.straggler_s):
+                        # One copy per tile: a systematically slow tile
+                        # must not flood the pool.
+                        unit.speculated = True
+                        labels = unit.state.labels
+                        obs.add("engine.shards.speculated", 1,
+                                labels=labels)
+                        unit.state.health.straggler()
+                        obs.emit("shard.straggler", **labels,
+                                 shard=unit.spec.index,
+                                 deadline_s=self.straggler_s,
+                                 running_s=round(running, 3))
+                        again.append(unit)
+        finally:
+            if not shared:
+                _kill_executor(executor, self.kind)
 
 
 def _fs_slug(name: str, limit: int = 48) -> str:
@@ -1298,26 +1547,6 @@ def _fs_slug(name: str, limit: int = 48) -> str:
     cleaned = "".join(c if c.isalnum() or c in "._-" else "-"
                       for c in name).strip("-")
     return (cleaned or "run")[:limit]
-
-
-class _CheckpointingResults(dict):
-    """A results map that persists whole-job results as they land.
-
-    The serial and pooled paths both assign ``results[sub] = result``
-    the moment a job completes; routing that through this dict means a
-    coordinator crash one job into a 50-job batch still leaves the
-    finished jobs' results on disk, whatever executor ran them.
-    """
-
-    def __init__(self, stores: "dict[int, object]") -> None:
-        super().__init__()
-        self._stores = stores
-
-    def __setitem__(self, sub: int, result) -> None:
-        super().__setitem__(sub, result)
-        store = self._stores.get(sub)
-        if store is not None:
-            store.save_result(result)
 
 
 class BatchSimulationEngine:
@@ -1335,18 +1564,19 @@ class BatchSimulationEngine:
         pools that cannot start (sandboxes, exotic platforms) degrade
         automatically: process -> thread -> serial.
     max_retries:
-        Extra attempts per job after the first one fails (crashed
-        worker or raised exception).  Backoff between attempts doubles
-        from ``retry_backoff_s``.  Timeouts are terminal: a job killed
-        by the wall-clock budget is never retried.
+        Extra attempts per unit — a whole job or one shard tile — after
+        the first one fails (crashed worker or raised exception).
+        Backoff between attempts doubles from ``retry_backoff_s``.
+        Timeouts are terminal: a unit killed by the wall-clock budget
+        fails its job and is never retried.
     retry_backoff_s:
         Base sleep before attempt ``k``'s retry:
         ``retry_backoff_s * 2**(k-1)`` seconds.
     job_timeout_s:
-        Per-job wall-clock budget in seconds; ``None`` defers to
-        ``REPRO_JOB_TIMEOUT`` (unset means no timeout).  Enforced on
-        pooled executors only — the serial path cannot pre-empt a job
-        (see ``docs/engine.md``).
+        Wall-clock budget in seconds of each pool unit (a whole job or
+        one shard tile); ``None`` defers to ``REPRO_JOB_TIMEOUT`` (unset
+        means no timeout).  Enforced on pooled executors only — the
+        serial path cannot pre-empt a unit (see ``docs/engine.md``).
     telemetry:
         Record every run into :mod:`repro.obs`; ``None`` defers to
         ``REPRO_TELEMETRY`` (unset means off).  Each job records into a
@@ -1424,13 +1654,10 @@ class BatchSimulationEngine:
         if retry_backoff_s < 0:
             raise ConfigurationError(
                 f"retry_backoff_s must be >= 0, got {retry_backoff_s}")
-        if job_timeout_s is not None and job_timeout_s <= 0:
-            raise ConfigurationError(
-                f"job timeout must be > 0 seconds, got {job_timeout_s}")
-        if shard_straggler_s is not None and shard_straggler_s <= 0:
-            raise ConfigurationError(
-                f"shard straggler deadline must be > 0 seconds, "
-                f"got {shard_straggler_s}")
+        if job_timeout_s is not None:
+            resolve_job_timeout(job_timeout_s)
+        if shard_straggler_s is not None:
+            resolve_shard_straggler(shard_straggler_s)
         for label, value in (("shard_servers", shard_servers),
                              ("shard_steps", shard_steps)):
             if value is not None and value <= 0:
@@ -1541,313 +1768,50 @@ class BatchSimulationEngine:
         if wait:
             executor.shutdown(wait=True)
         else:
-            self._kill_executor(executor, kind)
+            _kill_executor(executor, kind)
 
-    @property
-    def _budget(self) -> int:
-        """Total attempts allowed per job (first try + retries)."""
-        return 1 + self.max_retries
-
-    def _backoff(self, attempts: int) -> None:
-        """Sleep before the retry following failed attempt ``attempts``."""
-        if self.retry_backoff_s > 0:
-            time.sleep(self.retry_backoff_s * 2 ** (attempts - 1))
-
-    def _emit_job_event(self, kind: str, state: _JobState,
-                        exc: BaseException | None = None) -> None:
-        """Record one job lifecycle event into the batch session.
-
-        Called on the coordinating thread only, where the batch-level
-        session (if any) is installed; a no-op with telemetry off.
-        Terminal failure kinds also advance the ``/healthz`` progress.
-        """
-        data = {"scheme": state.job.config.name,
-                "trace": state.job.trace.name,
-                "attempt": state.attempts}
-        if exc is not None:
-            data["error_type"] = type(exc).__name__
-            data["error"] = str(exc)
-        if kind in ("job.failed", "job.timeout"):
-            self._health.job_done(failed=True)
-        obs.emit(kind, **data)
-
-    def _payload(self, job: SimulationJob) -> _JobPayload:
-        """Zero-copy payload: the job with its trace swapped for a ref.
+    def _payload(self, job: SimulationJob,
+                 process: bool = True) -> _JobPayload:
+        """A whole job's payload; for a process worker, zero-copy.
 
         Trace subclasses are pickled whole — rebuilding them from a bare
         plane in the worker would strip their overridden behaviour.
         """
-        if type(job.trace) is WorkloadTrace:
-            trace_ref, trace = self._shared_traces.ref_for(job.trace), None
-        else:
-            trace_ref, trace = None, job.trace
+        shared = process and type(job.trace) is WorkloadTrace
         return _JobPayload(
-            trace_ref=trace_ref,
+            trace_ref=(self._shared_traces.ref_for(job.trace) if shared
+                       else None),
             config=job.config,
             cpu_model=job.cpu_model,
             teg_module=job.teg_module,
             faults=job.faults,
             cache_resolution=self.cache_resolution,
-            trace=trace,
+            trace=None if shared else job.trace,
             telemetry=self.telemetry,
-            cache_dir=self._cache_dir,
+            cache=self._cache_dir if process else self.result_cache,
         )
 
-    def _submit(self, executor, kind: str, job: SimulationJob) -> Future:
-        if kind == "process":
-            return executor.submit(_execute_payload, self._payload(job))
-        return executor.submit(_execute_job, job,
-                               self.cache_resolution, self.telemetry,
-                               self.result_cache)
+    def _open_executor(self, workers: int, n_units: int,
+                       jobs: Sequence[SimulationJob]):
+        """``(kind, executor)`` a batch runs its units on.
 
-    @staticmethod
-    def _kill_executor(executor, kind: str) -> None:
-        """Tear a pool down without waiting on hung workers.
-
-        Process workers are terminated outright (a hung worker would
-        otherwise block shutdown and interpreter exit).  Thread workers
-        cannot be killed in CPython; the pool is abandoned and a truly
-        hung thread may delay interpreter exit — documented in
-        ``docs/engine.md``.
+        The kind degrades process -> thread -> serial only here, while
+        the pool is opened and the whole ``jobs`` are pre-flight pickled
+        for process workers — before any unit is submitted, so nothing
+        runs twice and every later error propagates.
         """
-        # Snapshot the worker processes *before* shutdown: the executor
-        # clears its ``_processes`` map on shutdown even with
-        # ``wait=False``, which would leave a hung worker unkillable.
-        processes = []
-        if kind == "process":
-            processes = list((getattr(executor, "_processes", None)
-                              or {}).values())
-        executor.shutdown(wait=False, cancel_futures=True)
-        for process in processes:
-            if process.is_alive():
-                process.terminate()
-        for process in processes:
-            process.join(timeout=1.0)
-            if process.is_alive():
-                process.kill()
-
-    def _run_serial(self, jobs: Sequence[SimulationJob],
-                    results: "dict[int, SimulationResult] | None" = None):
-        """In-process execution with retry; no timeout enforcement."""
-        results = {} if results is None else results
-        failures: dict[int, FailedJob] = {}
-        stats = {"retries": 0, "timeouts": 0}
-        for index, job in enumerate(jobs):
-            state = _JobState(index=index, job=job,
-                              started_at=time.perf_counter())
-            while True:
-                state.attempts += 1
-                try:
-                    result = _execute_job(job, self.cache_resolution,
-                                          self.telemetry,
-                                          self.result_cache)
-                except Exception as exc:
-                    if state.attempts < self._budget:
-                        stats["retries"] += 1
-                        state.retries += 1
-                        self._emit_job_event("job.retry", state, exc)
-                        self._backoff(state.attempts)
-                        continue
-                    failures[index] = state.failed(exc)
-                    self._emit_job_event("job.failed", state, exc)
-                    break
-                if result.metrics is not None:
-                    result.metrics.retries = state.retries
-                results[index] = result
-                self._health.job_done()
-                break
-        return results, failures, stats
-
-    def _run_pool(self, jobs: Sequence[SimulationJob], workers: int,
-                  kind: str, timeout_s: float | None,
-                  results: "dict[int, SimulationResult] | None" = None):
-        """Pooled execution: shared pool fast path, isolated recovery.
-
-        All jobs start on one shared pool.  When that pool can no
-        longer attribute failures to a single job — a worker crash
-        breaks a process pool as a whole, and a wall-clock timeout
-        forces a teardown — every unfinished job is re-run in its own
-        single-worker pool, so crashes and timeouts land on exactly the
-        job that caused them.
-        """
-        if kind == "process":
-            from concurrent.futures import ProcessPoolExecutor
-
-            executor_cls = ProcessPoolExecutor
-            # Pre-flight the pickling so unpicklable jobs degrade to the
-            # thread pool instead of surfacing as per-job failures.
-            # Process jobs ship a _JobPayload — config plus shared-memory
-            # trace handle — never the trace array itself.
-            pickle.dumps([self._payload(job) for job in jobs])
-        else:
-            executor_cls = ThreadPoolExecutor
-
-        results = {} if results is None else results
-        failures: dict[int, FailedJob] = {}
-        stats = {"retries": 0, "timeouts": 0}
-        states = {index: _JobState(index=index, job=job)
-                  for index, job in enumerate(jobs)}
-
-        executor = self._ensure_executor(kind, workers)
-        clean = False
-        try:
-            leftovers = self._drain_shared(
-                executor, kind, states, results, failures, stats,
-                timeout_s)
-            clean = not leftovers
-        finally:
-            if not clean:
-                # Broken/timed-out pools are killed and forgotten; a
-                # clean pool stays alive for the next run() call.
-                self._drop_executor()
-        for index in leftovers:
-            self._run_isolated(executor_cls, kind, states[index],
-                               results, failures, stats, timeout_s)
-        return results, failures, stats
-
-    def _drain_shared(self, executor, kind: str,
-                      states: dict[int, _JobState],
-                      results: dict[int, SimulationResult],
-                      failures: dict[int, FailedJob],
-                      stats: dict[str, int],
-                      timeout_s: float | None) -> list[int]:
-        """Run every job on the shared pool; return unfinished indices.
-
-        A non-empty return means the pool is no longer trustworthy
-        (broken, or torn down after a timeout) and the listed jobs must
-        be re-run in isolation.  Attempts consumed by pool-wide
-        breakage are not charged to innocent jobs.
-        """
-        futures: dict[Future, int] = {}
-        now = time.perf_counter()
-        for index, state in states.items():
-            state.started_at = now
-            futures[self._submit(executor, kind, state.job)] = index
-
-        while futures:
-            done, _ = wait(futures, timeout=_POLL_INTERVAL_S,
-                           return_when=FIRST_COMPLETED)
-            for future in done:
-                index = futures.pop(future)
-                state = states[index]
-                state.attempts += 1
-                state.running_since = None
-                try:
-                    result = future.result()
-                except BrokenExecutor:
-                    # Pool-wide breakage: blame cannot be pinned on this
-                    # future specifically.  Un-charge the attempt and
-                    # redo everything unfinished in isolation.
-                    state.attempts -= 1
-                    return [index] + [futures.pop(f)
-                                      for f in list(futures)]
-                except Exception as exc:
-                    if state.attempts < self._budget:
-                        stats["retries"] += 1
-                        state.retries += 1
-                        self._emit_job_event("job.retry", state, exc)
-                        self._backoff(state.attempts)
-                        try:
-                            futures[self._submit(executor, kind,
-                                                 state.job)] = index
-                        except BrokenExecutor:
-                            return [index] + [futures.pop(f)
-                                              for f in list(futures)]
-                    else:
-                        failures[index] = state.failed(exc)
-                        self._emit_job_event("job.failed", state, exc)
-                else:
-                    if result.metrics is not None:
-                        result.metrics.retries = state.retries
-                    results[index] = result
-                    self._health.job_done()
-            if timeout_s is None:
+        if workers <= 1 or self.prefer == "serial" or n_units <= 1:
+            return "serial", _InlineExecutor()
+        kinds = (("process", "thread") if self.prefer == "process"
+                 else ("thread",))
+        for kind in kinds:
+            try:
+                if kind == "process":
+                    pickle.dumps([self._payload(job) for job in jobs])
+                return kind, self._ensure_executor(kind, workers)
+            except Exception:  # pool unavailable: degrade gracefully
                 continue
-            now = time.perf_counter()
-            for future, index in list(futures.items()):
-                state = states[index]
-                if state.running_since is None and future.running():
-                    state.running_since = now
-                if (state.running_since is not None
-                        and now - state.running_since >= timeout_s):
-                    # Terminal: the hung worker makes the shared pool
-                    # unusable, so fail this job and move the rest to
-                    # isolated execution.
-                    state.attempts += 1
-                    stats["timeouts"] += 1
-                    failures[index] = state.timed_out(timeout_s)
-                    self._emit_job_event("job.timeout", state)
-                    futures.pop(future)
-                    return [futures.pop(f) for f in list(futures)]
-        return []
-
-    def _run_isolated(self, executor_cls, kind: str, state: _JobState,
-                      results: dict[int, SimulationResult],
-                      failures: dict[int, FailedJob],
-                      stats: dict[str, int],
-                      timeout_s: float | None) -> None:
-        """Run one job in its own single-worker pool, with retry.
-
-        Isolation makes failure attribution exact: a crash or hang can
-        only come from this job, and terminating the pool's worker
-        cannot take other jobs down with it.
-        """
-        if state.started_at is None:
-            state.started_at = time.perf_counter()
-        while True:
-            state.attempts += 1
-            verdict, payload = self._attempt_isolated(
-                executor_cls, kind, state.job, timeout_s)
-            if verdict == "ok":
-                if payload.metrics is not None:
-                    payload.metrics.retries = state.retries
-                results[state.index] = payload
-                self._health.job_done()
-                return
-            if verdict == "timeout":
-                stats["timeouts"] += 1
-                failures[state.index] = state.timed_out(timeout_s)
-                self._emit_job_event("job.timeout", state)
-                return
-            if state.attempts < self._budget:
-                stats["retries"] += 1
-                state.retries += 1
-                self._emit_job_event("job.retry", state, payload)
-                self._backoff(state.attempts)
-                continue
-            failures[state.index] = state.failed(payload)
-            self._emit_job_event("job.failed", state, payload)
-            return
-
-    def _attempt_isolated(self, executor_cls, kind: str,
-                          job: SimulationJob, timeout_s: float | None):
-        """One attempt on a fresh single-worker pool.
-
-        Returns ``("ok", result)``, ``("error", exception)`` — a worker
-        crash surfaces here as its ``BrokenExecutor`` subclass and is
-        retryable — or ``("timeout", None)`` after killing the worker.
-        """
-        executor = executor_cls(max_workers=1)
-        future = self._submit(executor, kind, job)
-        deadline = None
-        while True:
-            done, _ = wait([future], timeout=_POLL_INTERVAL_S)
-            if done:
-                try:
-                    result = future.result()
-                except Exception as exc:
-                    self._kill_executor(executor, kind)
-                    return ("error", exc)
-                executor.shutdown(wait=False)
-                return ("ok", result)
-            if timeout_s is None:
-                continue
-            now = time.perf_counter()
-            if deadline is None and future.running():
-                deadline = now + timeout_s
-            if deadline is not None and now >= deadline:
-                self._kill_executor(executor, kind)
-                return ("timeout", None)
+        return "serial", _InlineExecutor()
 
     # -- sharded jobs --------------------------------------------------
 
@@ -2020,18 +1984,17 @@ class BatchSimulationEngine:
                        ) -> BatchResult:
         """Execute a validated job list (under the batch session).
 
-        Jobs that shard (see :meth:`_shard_plan`) are peeled off the
-        normal dispatch: the worker count is resolved against the total
-        unit count (whole jobs + shards), the remaining jobs run
-        through the usual serial/pool machinery, and each sharded job
-        is then fanned out over the same persistent executor and merged
-        back into a single result in place.
+        Checkpoint resume, result-cache pre-checks of sharded jobs and
+        within-batch dedup answer what they can; every other job
+        becomes units — one per whole job, one per missing tile of a
+        sharded job (see :meth:`_shard_plan`) — which one
+        :class:`_UnitLoop` runs on one executor, resolved against the
+        total unit count.
         """
         from .shard import (
             SHARD_SERVERS_ENV_VAR,
             SHARD_STEPS_ENV_VAR,
             ShardDriver,
-            ShardPool,
             resolve_shard_size,
         )
 
@@ -2105,94 +2068,77 @@ class BatchSimulationEngine:
             obs.add("engine.jobs.deduped", len(dup_of))
         total_shards = sum(len(specs) for specs in plans.values())
 
-        normal = [index for index in range(len(jobs))
-                  if index not in plans and index not in resumed_results
-                  and index not in cache_results and index not in dup_of]
-        n_units = len(normal) + total_shards
+        todo = [index for index in range(len(jobs))
+                if index not in resumed_results
+                and index not in cache_results and index not in dup_of]
+        n_units = sum(len(plans[index]) if index in plans else 1
+                      for index in todo)
         self._health.begin(jobs_total=len(jobs), shards_total=total_shards)
         for _ in resumed_results:
             self._health.job_done()
         for _ in cache_results:
             self._health.job_done()
         workers = resolve_workers(self.n_workers, n_units)
-        timeout_s = resolve_job_timeout(self.job_timeout_s)
         obs.emit("batch.start", n_jobs=len(jobs),
                  workers=workers, prefer=self.prefer,
                  shards=total_shards, resumed=len(resumed_results),
                  deduped=len(dup_of), cache_hits=len(cache_results))
         started = time.perf_counter()
-        executor = self.prefer
-        outcome = None
-        normal_jobs = [jobs[index] for index in normal]
-        sub_stores = {sub: stores[index]
-                      for sub, index in enumerate(normal)
-                      if index in stores}
-        sink = _CheckpointingResults(sub_stores) if sub_stores else None
-        if workers <= 1 or self.prefer == "serial" or n_units == 1:
-            executor = "serial"
-            outcome = self._run_serial(normal_jobs, sink)
-        elif normal_jobs:
-            kinds = (["process", "thread"] if self.prefer == "process"
-                     else ["thread"])
-            for kind in kinds:
-                try:
-                    outcome = self._run_pool(normal_jobs, workers, kind,
-                                             timeout_s, sink)
-                    executor = kind
-                    break
-                except Exception:  # pool unavailable: degrade gracefully
-                    continue
-            if outcome is None:
-                executor = "serial"
-                outcome = self._run_serial(normal_jobs, sink)
-        else:
-            outcome = ({}, {}, {"retries": 0, "timeouts": 0})
-        sub_results, sub_failures, stats = outcome
-        results_map = {normal[sub]: result
-                       for sub, result in sub_results.items()}
-        results_map.update(resumed_results)
-        failures_map = {normal[sub]: failed
-                        for sub, failed in sub_failures.items()}
-        # Sharded jobs run through the shard driver on the same
-        # persistent pool.  The per-job wall-clock budget is not
-        # enforced on them (see docs/engine.md).  With a live endpoint,
-        # shard telemetry folds straight into the batch session, so a
-        # mid-run GET /metrics sees repro_shard_* series accumulate.
-        pool = None
-        if executor in ("process", "thread"):
-            pool = ShardPool(
-                kind=executor,
-                acquire=partial(self._ensure_executor, executor, workers),
-                discard=self._drop_executor, segments=self._shared_traces)
-        for index, specs in plans.items():
+        executor, pool = self._open_executor(
+            workers, n_units,
+            [jobs[index] for index in todo if index not in plans])
+        loop = _UnitLoop(
+            executor, max_retries=self.max_retries,
+            backoff_s=self.retry_backoff_s,
+            timeout_s=resolve_job_timeout(self.job_timeout_s),
+            straggler_s=resolve_shard_straggler(self.shard_straggler_s))
+        # Whole jobs first: they keep the workers busy while the
+        # coordinator primes the sharded jobs' decision caches.  With a
+        # live endpoint, shard telemetry folds straight into the batch
+        # session, so a mid-run GET /metrics sees repro_shard_* series
+        # accumulate.
+        states = []
+        for index in sorted(todo, key=lambda index: index in plans):
             job = jobs[index]
-            state = _JobState(index=index, job=job,
-                              started_at=time.perf_counter())
-            state.attempts = 1
-            try:
-                results_map[index] = ShardDriver(
-                    job, specs, cache_resolution=self.cache_resolution,
+            state = _JobState(index, job, self._health)
+            if index in plans:
+                state.driver = ShardDriver(
+                    job, plans[index], cache_resolution=self.cache_resolution,
                     telemetry=self.telemetry, store=stores.get(index),
                     result_cache=self.result_cache,
                     trace_hash=(self._trace_hash(job.trace)
                                 if self.result_cache is not None
                                 else None),
-                    pool=pool, max_retries=self.max_retries,
-                    backoff=self._backoff,
-                    straggler_s=resolve_shard_straggler(
-                        self.shard_straggler_s),
-                    health=self._health,
+                    retry=partial(loop.retry, state),
+                    segments=(self._shared_traces if executor == "process"
+                              else None),
+                    executor=executor, health=self._health,
                     telemetry_sink=(obs.current()
                                     if self._live_server is not None
-                                    else None)).run()
-            except Exception as exc:
-                failures_map[index] = state.failed(exc)
-                self._emit_job_event("job.failed", state, exc)
+                                    else None))
             else:
-                self._health.job_done()
-                if index in cache_keys:
-                    self.result_cache.store(cache_keys[index],
-                                            results_map[index])
+                state.task = (_execute_payload,
+                              self._payload(job, executor == "process"))
+                state.store = stores.get(index)
+            states.append(state)
+        try:
+            loop.run(states, pool, discard=self._drop_executor)
+        except BaseException:
+            # Units may still be running: the pool is not reused.
+            self._drop_executor()
+            raise
+        finally:
+            for state in states:
+                if state.driver is not None:
+                    state.driver.close()
+        results_map = {state.index: state.result for state in states
+                       if state.result is not None}
+        failures_map = {state.index: state.failure for state in states
+                        if state.failure is not None}
+        results_map.update(resumed_results)
+        for index, key in cache_keys.items():
+            if index in results_map:
+                self.result_cache.store(key, results_map[index])
         results_map.update(cache_results)
         for index, rep in dup_of.items():
             # Duplicates share the representative's result object (or
@@ -2257,8 +2203,8 @@ class BatchSimulationEngine:
                 steps_per_s=total_steps / wall if wall > 0 else 0.0,
                 cache_hits=cache_hits,
                 cache_misses=cache_misses,
-                retries=stats["retries"],
-                timeouts=stats["timeouts"],
+                retries=loop.retries,
+                timeouts=loop.timeouts,
                 n_failed=len(failures),
                 shards=total_shards,
                 shards_resumed=shards_resumed,
@@ -2288,8 +2234,8 @@ class BatchSimulationEngine:
             registry.counter("engine.jobs.submitted").inc(len(jobs))
             registry.counter("engine.jobs.completed").inc(len(results))
             registry.counter("engine.jobs.failed").inc(len(failures))
-            registry.counter("engine.jobs.retries").inc(stats["retries"])
-            registry.counter("engine.jobs.timeouts").inc(stats["timeouts"])
+            registry.counter("engine.jobs.retries").inc(loop.retries)
+            registry.counter("engine.jobs.timeouts").inc(loop.timeouts)
             if resumed_results:
                 registry.counter("engine.jobs.resumed").inc(
                     len(resumed_results))

@@ -13,9 +13,9 @@ circulations times bounded time windows.  This module
   :class:`ShardOutcome` of per-circulation columns),
 * stitches the tiles back into whole-cluster columns and replays the
   phase-4 fold once over them (:class:`StreamingMerge`), and
-* drives a whole plan — resume, prime, dispatch, save, fold — in one
-  loop (:class:`ShardDriver`) that both the batch engine and
-  :func:`simulate_sharded` run.
+* keeps one plan's per-job state — resume, prime, save, fold, merge —
+  in a :class:`ShardDriver`, whose tiles the engine's one dispatch
+  loop runs, for the batch engine and for :func:`simulate_sharded`.
 
 The oracle every sharded run is checked against is the unsharded
 ``simulate()`` / ``DatacenterSimulator.run``.
@@ -69,15 +69,9 @@ from __future__ import annotations
 import itertools
 import os
 import time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    Executor,
-    Future,
-    wait,
-)
 from contextlib import nullcontext
 from dataclasses import KW_ONLY, dataclass, field, replace
+from functools import partial
 from multiprocessing import shared_memory
 from typing import Callable, Sequence
 
@@ -100,7 +94,6 @@ from .config import SimulationConfig
 from .cache import ResultCache, resolve_result_cache, result_key
 from .checkpoint import CheckpointStore, run_key
 from .engine import (
-    _POLL_INTERVAL_S,
     DEFAULT_CACHE_RESOLUTION,
     CacheStats,
     CoolingDecisionCache,
@@ -108,7 +101,10 @@ from .engine import (
     SharedTraceRef,
     SimulationJob,
     _CachedVectorisedSimulator,
+    _InlineExecutor,
+    _JobState,
     _SharedTraceRegistry,
+    _UnitLoop,
     _trace_from_ref,
     _warm_restore,
     _warm_save,
@@ -136,7 +132,6 @@ __all__ = [
     "ShardError",
     "ShardDriver",
     "ShardOutcome",
-    "ShardPool",
     "ShardSpec",
     "StreamingMerge",
     "audit_merged_result",
@@ -626,9 +621,9 @@ class ShardColumnRef:
 
 
 #: Per-worker cache of the attached column block, keyed by segment name.
-#: Sharded jobs run one at a time on the coordinator, so on attaching a
-#: new job's block every previous one is unmapped — bounding worker
-#: memory at one block however many sharded jobs a batch dispatches.
+#: On attaching another job's block every previous one is unmapped —
+#: bounding worker memory at one block however many sharded jobs a
+#: batch dispatches (tiles of interleaved jobs just re-attach).
 _WORKER_COLUMN_BLOCKS: dict[str, tuple[shared_memory.SharedMemory,
                                        np.ndarray]] = {}
 
@@ -753,9 +748,9 @@ class StreamingMerge:
     workers can write their tiles into it directly
     (:func:`_publish_columns`) and :meth:`add` folds only the small
     non-plane remainder.  Outcomes that do carry ``columns`` (serial
-    runs, thread pools, resumed checkpoints, broken-pool fallbacks)
-    are stitched coordinator-side exactly as before; the two kinds mix
-    freely within one merge.
+    runs, thread pools, resumed checkpoints) are stitched
+    coordinator-side exactly as before; the two kinds mix freely
+    within one merge.
     """
 
     def __init__(self, trace: WorkloadTrace, config: SimulationConfig, *,
@@ -1017,50 +1012,35 @@ def merge_shard_outcomes(trace: WorkloadTrace, config: SimulationConfig,
     return merge.result()
 
 
-@dataclass(frozen=True)
-class ShardPool:
-    """An executor pool a :class:`ShardDriver` may dispatch tiles to.
-
-    ``kind`` is ``"process"`` or ``"thread"``.  ``acquire()`` returns the
-    pool (the engine's persistent executor) and ``discard()`` drops it
-    once it has broken.  ``segments`` is the engine's shared-memory
-    registry: process workers read their tiles out of its trace segment
-    and write their planes into its zero-copy column block.
-    """
-
-    kind: str
-    acquire: Callable[[], Executor]
-    discard: Callable[[], None]
-    segments: _SharedTraceRegistry
-
-
 @dataclass
 class ShardDriver:
-    """The one loop that executes a shard plan and merges its tiles.
+    """The per-job state of a shard plan: resume, prime, land, merge.
 
-    :class:`~repro.core.engine.BatchSimulationEngine` and
-    :func:`simulate_sharded` both run their shards through :meth:`run`,
-    which
+    The driver holds no loop and no executor: the engine's dispatch
+    loop (:class:`~repro.core.engine._UnitLoop`) runs its tiles, for
+    :class:`~repro.core.engine.BatchSimulationEngine` on the batch's
+    pool and for :func:`simulate_sharded` in-process.  The loop calls
 
-    1. folds every shard ``store`` already holds (checkpoint resume);
-    2. runs a fault job's time windows in order, in-process, sharing
-       one decision cache and one policy — a resumed window restores
-       both for its successor (see the module note);
-    3. for a kernel job, primes the decision cache (skipped when every
-       shard resumed), dispatches the missing tiles over ``pool`` with
-       per-shard retry and straggler re-dispatch, and runs in-process
-       whatever the pool did not deliver — all of them without a pool;
-    4. saves and folds each shard the moment it lands;
-    5. finalises the merge (post-merge audit included) and attaches
-       :class:`~repro.core.engine.EngineMetrics`.
+    1. :meth:`begin`, which folds every shard ``store`` already holds
+       (checkpoint resume), runs a fault job's time windows in order,
+       in-process, sharing one decision cache and one policy (a resumed
+       window restores both for its successor, see the module note),
+       and primes a kernel job's decision cache (skipped when every
+       shard resumed) — returning the kernel tiles still to compute;
+    2. :meth:`task` for each of them — the ``(function, *args)`` unit
+       to submit: a :class:`_ShardPayload` for process workers (given
+       the engine's shared-memory ``segments``), an in-process run
+       otherwise;
+    3. :meth:`land` as each tile arrives: save, then fold;
+    4. :meth:`finish`, which finalises the merge (post-merge audit
+       included) and attaches :class:`~repro.core.engine.EngineMetrics`.
 
-    A failed shard is retried up to ``max_retries`` times, sleeping
-    ``backoff(attempt)`` in between; past the budget its error
-    propagates.  ``health`` (a live ``/healthz`` state) counts landed
-    shards, and ``telemetry_sink`` receives shard telemetry as it folds
-    (see :class:`StreamingMerge`).  ``result_cache`` and ``trace_hash``
-    feed the warm start of the decision pre-pass
-    (:func:`primed_or_warm`).
+    ``retry(attempt, exc, spec)`` is the loop's retry rule, applied to
+    fault windows too; ``None`` retries nothing.  ``health`` (a live
+    ``/healthz`` state) counts landed shards, and ``telemetry_sink``
+    receives shard telemetry as it folds (see :class:`StreamingMerge`).
+    ``result_cache`` and ``trace_hash`` feed the warm start of the
+    decision pre-pass (:func:`primed_or_warm`).
     """
 
     job: SimulationJob
@@ -1071,10 +1051,10 @@ class ShardDriver:
     store: CheckpointStore | None = None
     result_cache: ResultCache | None = None
     trace_hash: str | None = None
-    pool: ShardPool | None = None
-    max_retries: int = 0
-    backoff: Callable[[int], None] | None = None
-    straggler_s: float | None = None
+    retry: Callable[[int, BaseException, ShardSpec], bool] | None = None
+    segments: _SharedTraceRegistry | None = None
+    #: Executor label of the ``shard.dispatch`` event.
+    executor: str = "serial"
     health: obs.RunHealth = field(default_factory=obs.RunHealth)
     telemetry_sink: obs.Telemetry | None = None
 
@@ -1083,40 +1063,79 @@ class ShardDriver:
         self.has_faults = faults is not None and len(faults) > 0
         self._labels = {"scheme": self.job.config.name,
                         "trace": self.job.trace.name}
+        self._block = self._column_ref = self._primed = self._merge = None
 
-    def run(self) -> SimulationResult:
-        """Execute every missing shard; return the merged result."""
+    def begin(self) -> list[ShardSpec]:
+        """Resume, run fault windows, prime; the kernel tiles left."""
         job = self.job
-        started = time.perf_counter()
-        executor = ("sequential" if self.has_faults
-                    else self.pool.kind if self.pool is not None
-                    else "serial")
+        self._started = time.perf_counter()
         obs.emit("shard.dispatch", **self._labels, shards=len(self.specs),
-                 executor=executor)
+                 executor="sequential" if self.has_faults else self.executor)
         obs.add("engine.shards.dispatched", len(self.specs),
                 labels=self._labels)
-        column_block, column_ref = self._column_block()
-        merge = StreamingMerge(
+        self._open_column_block()
+        self._merge = StreamingMerge(
             job.trace, job.config,
             kind="fault" if self.has_faults else "kernel",
-            plane_block=(None if column_block is None else np.ndarray(
-                column_ref.shape, dtype=np.float64,
-                buffer=column_block.buf)),
+            plane_block=(None if self._block is None else np.ndarray(
+                self._column_ref.shape, dtype=np.float64,
+                buffer=self._block.buf)),
             telemetry_sink=self.telemetry_sink)
+        if self.has_faults:
+            self._run_fault_windows()
+            return []
+        missing = [spec for spec in self.specs
+                   if self._resumed(spec) is None]
+        if missing:
+            # The pre-pass is deterministic, so recomputing it on
+            # resume hands the remaining shards the same primed cache
+            # an uninterrupted run would have.
+            self._primed = primed_or_warm(
+                job.trace, job.config, job.cpu_model, job.teg_module,
+                cache_resolution=self.cache_resolution,
+                result_cache=self.result_cache, trace_hash=self.trace_hash)
+        return missing
+
+    def task(self, spec: ShardSpec) -> tuple:
+        """``(function, *args)`` computing one kernel tile.
+
+        Process workers get a :class:`_ShardPayload`: a windowed
+        shared-memory trace ref, so payload size is independent of
+        trace length and shard count.
+        """
+        if self.segments is None:
+            return (self._run_local, spec)
+        job = self.job
+        base = self.segments.ref_for(job.trace)
+        return (_execute_shard_payload, _ShardPayload(
+            trace_ref=replace(base, row_start=spec.step_start,
+                              row_stop=spec.step_stop,
+                              col_start=spec.server_start,
+                              col_stop=spec.server_stop),
+            spec=spec, config=job.config, cpu_model=job.cpu_model,
+            teg_module=job.teg_module, faults=None,
+            cache_resolution=self.cache_resolution,
+            decisions=self._primed, telemetry=self.telemetry,
+            column_ref=self._column_ref))
+
+    def land(self, outcome: ShardOutcome, **state) -> None:
+        """Persist one freshly executed shard, then fold it."""
+        if self.store is not None:
+            self.store.save_shard(outcome.spec.index, outcome, **state)
+        self._merge.add(outcome)
+        self.health.shard_done()
+
+    def finish(self) -> SimulationResult:
+        """The merged result; raises the run's own error, if any."""
+        job, merge = self.job, self._merge
         try:
-            if self.has_faults:
-                self._run_fault_windows(merge)
-            else:
-                self._run_kernel_tiles(merge, column_ref)
             result = merge.result()
         finally:
-            if column_block is not None:
-                merge.release_planes()
-                self.pool.segments.release_scratch(column_block)
+            self.close()
         snapshot = merge.telemetry_snapshot()
         if snapshot is not None:
             result.telemetry = snapshot
-        wall = time.perf_counter() - started
+        wall = time.perf_counter() - self._started
         cache_hits, cache_misses = merge.cache_hits, merge.cache_misses
         lookups = cache_hits + cache_misses
         resumed = len(self.store.loaded) if self.store is not None else 0
@@ -1135,57 +1154,29 @@ class ShardDriver:
                  resumed=resumed, wall_time_s=round(wall, 4))
         return result
 
-    # -- landing -------------------------------------------------------
+    def close(self) -> None:
+        """Release the shared column block (idempotent)."""
+        if self._block is not None:
+            self._merge.release_planes()
+            self.segments.release_scratch(self._block)
+            self._block = None
 
-    def _resumed(self, spec: ShardSpec, merge: StreamingMerge):
+    def _resumed(self, spec: ShardSpec):
         """Fold ``spec``'s saved shard, if the store holds one."""
         saved = (self.store.load_shard(spec.index)
                  if self.store is not None else None)
         if saved is not None:
-            merge.add(saved["outcome"])
+            self._merge.add(saved["outcome"])
             self.health.shard_done()
         return saved
 
-    def _land(self, merge: StreamingMerge, outcome: ShardOutcome,
-              **state) -> None:
-        """Persist one freshly executed shard, then fold it."""
-        if self.store is not None:
-            self.store.save_shard(outcome.spec.index, outcome, **state)
-        merge.add(outcome)
-        self.health.shard_done()
-
-    def _retry(self, spec: ShardSpec, attempt: int,
-               exc: BaseException) -> bool:
-        """Record one shard failure; True when it should be retried."""
-        if isinstance(exc, ShardExecutionError):
-            exc.attempt = attempt
-            context = dict(exc.context())
-        else:
-            context = {"shard_index": spec.index,
-                       "step_start": spec.step_start,
-                       "step_stop": spec.step_stop,
-                       "server_start": spec.server_start,
-                       "server_stop": spec.server_stop,
-                       "attempt": attempt, "worker_pid": None}
-        retrying = attempt <= self.max_retries
-        obs.emit("shard.retry" if retrying else "shard.failed",
-                 **self._labels, error_type=type(exc).__name__,
-                 error=str(exc), **context)
-        if retrying:
-            obs.add("engine.shards.retried", 1)
-            if self.backoff is not None:
-                self.backoff(attempt)
-        return retrying
-
-    # -- fault windows -------------------------------------------------
-
-    def _run_fault_windows(self, merge: StreamingMerge) -> None:
+    def _run_fault_windows(self) -> None:
         """Sequential time windows sharing one cache and one policy."""
         job = self.job
         shared = CoolingDecisionCache(resolution=self.cache_resolution)
         policy = None
         for spec in self.specs:
-            saved = self._resumed(spec, merge)
+            saved = self._resumed(spec)
             if saved is not None:
                 # Restore the path-dependent state the next window
                 # needs: the shared cache as it stood after this
@@ -1207,178 +1198,44 @@ class ShardDriver:
                         telemetry=self.telemetry)
                     break
                 except Exception as exc:
-                    if not self._retry(spec, attempt, exc):
+                    if self.retry is None or not self.retry(attempt, exc,
+                                                            spec):
                         raise
             policy = outcome.policy
-            self._land(merge, outcome, cache_store=dict(shared._store))
+            self.land(outcome, cache_store=dict(shared._store))
 
-    # -- kernel tiles --------------------------------------------------
-
-    def _column_block(self):
+    def _open_column_block(self) -> None:
         """A shared column block for zero-copy returns, and its handle.
 
         Only for process workers of a kernel job without a checkpoint
-        store (saved shards must carry their own columns); otherwise,
-        or without shared memory, ``(None, None)``.
+        store (saved shards must carry their own columns), and only
+        with shared memory available.
         """
-        if (self.has_faults or self.pool is None
-                or self.pool.kind != "process" or self.store is not None):
-            return None, None
+        if (self.has_faults or self.segments is None
+                or self.store is not None):
+            return
         n_steps = self.job.trace.n_steps
         n_circs = -(-self.job.trace.n_servers
                     // self.job.config.circulation_size)
         nbytes = (len(COLUMN_PLANES) * n_steps * n_circs
                   * np.dtype(np.float64).itemsize)
         try:
-            block = self.pool.segments.scratch_block(nbytes)
+            self._block = self.segments.scratch_block(nbytes)
         except OSError:  # pragma: no cover - no POSIX shm
-            return None, None
-        return block, ShardColumnRef(shm_name=block.name, n_steps=n_steps,
-                                     n_circs=n_circs)
-
-    def _run_kernel_tiles(self, merge: StreamingMerge,
-                          column_ref: ShardColumnRef | None) -> None:
-        """Resume, prime, dispatch and fold every kernel tile."""
-        job = self.job
-        missing = [spec for spec in self.specs
-                   if self._resumed(spec, merge) is None]
-        if not missing:
             return
-        # The pre-pass is deterministic, so recomputing it on resume
-        # hands the remaining shards the same primed cache an
-        # uninterrupted run would have.
-        primed = primed_or_warm(
-            job.trace, job.config, job.cpu_model, job.teg_module,
-            cache_resolution=self.cache_resolution,
-            result_cache=self.result_cache, trace_hash=self.trace_hash)
-        done: set[int] = set()
-        if self.pool is not None:
-            self._dispatch(merge, missing, primed, column_ref, done)
-        for spec in missing:
-            if spec.index not in done:
-                self._land(merge, self._run_local(spec, primed))
+        self._column_ref = ShardColumnRef(
+            shm_name=self._block.name, n_steps=n_steps, n_circs=n_circs)
 
-    def _run_local(self, spec: ShardSpec,
-                   primed: CoolingDecisionCache | None) -> ShardOutcome:
-        """One kernel tile, in this process, off a clone of ``primed``."""
+    def _run_local(self, spec: ShardSpec) -> ShardOutcome:
+        """One kernel tile in this process, off a clone of the primed cache."""
         job = self.job
         tile = job.trace.window(spec.step_start, spec.step_stop,
                                 spec.server_start, spec.server_stop)
         return run_shard(tile, spec, job.config, job.cpu_model,
                          job.teg_module,
                          cache_resolution=self.cache_resolution,
-                         cache=clone_cache(primed),
+                         cache=clone_cache(self._primed),
                          telemetry=self.telemetry)
-
-    def _dispatch(self, merge: StreamingMerge, missing: list[ShardSpec],
-                  primed: CoolingDecisionCache | None,
-                  column_ref: ShardColumnRef | None,
-                  done: set[int]) -> None:
-        """Run ``missing`` on the pool, adding each landed index to ``done``.
-
-        Process workers receive a :class:`_ShardPayload` (a windowed
-        shared-memory trace ref, so payload size is independent of
-        trace length and shard count); thread workers run
-        :meth:`_run_local`.  A shard running past ``straggler_s`` is
-        speculatively re-dispatched once; the first copy to land wins.
-        A pool that breaks (or cannot start) is discarded, leaving the
-        rest to the in-process fallback — the merge cannot tolerate
-        holes.
-        """
-        job, pool = self.job, self.pool
-        straggler_s = self.straggler_s
-        try:
-            executor = pool.acquire()
-            if pool.kind == "process":
-                base_ref = pool.segments.ref_for(job.trace)
-
-                def submit(spec):
-                    payload = _ShardPayload(
-                        trace_ref=replace(
-                            base_ref, row_start=spec.step_start,
-                            row_stop=spec.step_stop,
-                            col_start=spec.server_start,
-                            col_stop=spec.server_stop),
-                        spec=spec, config=job.config,
-                        cpu_model=job.cpu_model,
-                        teg_module=job.teg_module, faults=None,
-                        cache_resolution=self.cache_resolution,
-                        decisions=primed, telemetry=self.telemetry,
-                        column_ref=column_ref)
-                    return executor.submit(_execute_shard_payload,
-                                           payload)
-            else:
-                def submit(spec):
-                    return executor.submit(self._run_local, spec, primed)
-
-            futures: dict[Future, ShardSpec] = {}
-            attempts = {spec.index: 0 for spec in missing}
-            running_since: dict[Future, float] = {}
-            speculated: set[int] = set()
-            for spec in missing:
-                futures[submit(spec)] = spec
-            try:
-                while futures:
-                    completed, _ = wait(
-                        futures,
-                        timeout=(_POLL_INTERVAL_S
-                                 if straggler_s is not None else None),
-                        return_when=FIRST_COMPLETED)
-                    for future in completed:
-                        spec = futures.pop(future)
-                        running_since.pop(future, None)
-                        if future.cancelled() or spec.index in done:
-                            # A speculative duplicate lost the race;
-                            # its twin's result already landed.
-                            continue
-                        try:
-                            outcome = future.result()
-                        except BrokenExecutor:
-                            raise
-                        except Exception as exc:
-                            attempts[spec.index] += 1
-                            if not self._retry(spec, attempts[spec.index],
-                                               exc):
-                                raise
-                            futures[submit(spec)] = spec
-                        else:
-                            done.add(spec.index)
-                            self._land(merge, outcome)
-                            for twin, twin_spec in list(futures.items()):
-                                if twin_spec.index == spec.index:
-                                    twin.cancel()
-                    if straggler_s is None:
-                        continue
-                    now = time.perf_counter()
-                    for future, spec in list(futures.items()):
-                        if future not in running_since:
-                            if future.running():
-                                running_since[future] = now
-                            continue
-                        if (spec.index in speculated or spec.index in done
-                                or now - running_since[future]
-                                < straggler_s):
-                            continue
-                        # One speculative copy per shard: slow is
-                        # retried, but a systematically slow shard must
-                        # not fork-bomb the pool.
-                        speculated.add(spec.index)
-                        obs.add("engine.shards.speculated", 1,
-                                labels=self._labels)
-                        self.health.straggler()
-                        obs.emit("shard.straggler", **self._labels,
-                                 shard=spec.index, deadline_s=straggler_s,
-                                 running_s=round(
-                                     now - running_since[future], 3))
-                        futures[submit(spec)] = spec
-            except BaseException:
-                for future in futures:
-                    future.cancel()
-                raise
-        except (BrokenExecutor, OSError):
-            # The pool died mid-flight (or could not start): it is
-            # untrustworthy, so the in-process fallback runs the rest.
-            pool.discard()
 
 
 def simulate_sharded(trace: WorkloadTrace, config: SimulationConfig,
@@ -1398,11 +1255,10 @@ def simulate_sharded(trace: WorkloadTrace, config: SimulationConfig,
     Bit-identical to ``simulate(trace, config, ...)`` — and so to
     ``DatacenterSimulator(trace, config, ...).run()``, the oracle the
     parity suite checks every sharded run against.  The tiles run one
-    after another in this process through the same :class:`ShardDriver`
-    the batch engine dispatches over its executor, which makes this a
-    convenient way to bound peak memory on a single core.  A shard
-    error is raised as the unsharded run would raise it; nothing is
-    retried.
+    after another in this process, through the batch engine's dispatch
+    loop on its in-process executor, which makes this a convenient way
+    to bound peak memory on a single core.  A shard error is raised as
+    the unsharded run would raise it; nothing is retried.
 
     A :class:`~repro.workloads.trace.WorkloadTrace` subclass can carry
     behaviour (an overridden ``step()``) that a window of its plane
@@ -1489,11 +1345,18 @@ def simulate_sharded(trace: WorkloadTrace, config: SimulationConfig,
             live_sink = obs.Telemetry()
         live_server.bind(live_sink, health)
     try:
-        result = ShardDriver(
-            SimulationJob(trace, config, cpu_model, teg_module, faults),
-            specs, cache_resolution=cache_resolution, telemetry=record,
-            store=store, result_cache=results_store, health=health,
-            telemetry_sink=live_sink).run()
+        state = _JobState(0, SimulationJob(trace, config, cpu_model,
+                                           teg_module, faults), health)
+        loop = _UnitLoop("serial")
+        state.driver = ShardDriver(
+            state.job, specs, cache_resolution=cache_resolution,
+            telemetry=record, store=store, result_cache=results_store,
+            retry=partial(loop.retry, state), health=health,
+            telemetry_sink=live_sink)
+        loop.run([state], _InlineExecutor())
+        if state.error is not None:
+            raise state.error
+        result = state.result
         if live_sink is not None:
             # The sink is private to this call, so its snapshot is
             # exactly the per-run telemetry the non-live path attaches.

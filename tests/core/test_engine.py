@@ -229,10 +229,10 @@ class TestDeterminism:
         jobs = self.jobs()[:2]
         reference = run_batch(jobs, n_workers=1)
 
-        def broken_pool(self, jobs, workers, kind, timeout_s):
+        def broken_pool(self, kind, workers):
             raise OSError("no pools in this sandbox")
 
-        monkeypatch.setattr(BatchSimulationEngine, "_run_pool",
+        monkeypatch.setattr(BatchSimulationEngine, "_ensure_executor",
                             broken_pool)
         batch = run_batch(jobs, n_workers=4, prefer="process")
         assert batch.metrics.executor == "serial"
